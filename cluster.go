@@ -357,12 +357,16 @@ func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
 		// frame can start before the domain's activity floor plus that
 		// margin; with one in flight, none can start before the earliest
 		// outstanding ready time. This margin — not the 700 ns HUB setup —
-		// is what grows safe windows enough for sharding to win.
+		// is what grows safe windows enough for sharding to win. The floor
+		// never drops below actFloor itself: an open bracket's ready time
+		// can already lie in the past (its thread was preempted, or a
+		// closed bracket's minimum is still held), yet no transmission can
+		// start before the domain's next event.
 		margin := sim.Time(cl.Cost.DatalinkProcess + cl.Cost.DMASetup)
 		up.SetTxFloor(func(actFloor sim.Time) sim.Time {
 			e := actFloor + margin
 			if at, ok := c.TxReadyAt(); ok && at < e {
-				e = at
+				e = max(at, actFloor)
 			}
 			return e
 		})

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"nectar"
+	"nectar/internal/bench"
 	"nectar/internal/model"
 	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
@@ -35,11 +36,74 @@ func main() {
 	default:
 		log.Fatalf("unknown -proto %q (want datagram, rmp or rrp)", *proto)
 	}
+	x, err := run(*proto, *size)
+	if err != nil {
+		log.Fatal(err)
+	}
 
+	fmt.Printf("trace: %s, %d bytes, node %d -> node %d\n", *proto, *size, x.nodeA, x.nodeB)
+	fmt.Printf("end-to-end completion: %v (%d events)\n", sim.Duration(x.end-x.an.Start), len(x.events))
+
+	if !*quiet {
+		fmt.Printf("\n%12s  %10s  event\n", "t (us)", "delta")
+		prev := x.an.Start
+		for _, e := range x.events {
+			fmt.Printf("%12.3f  %+9.3f  n%d %-8s %-7s %s%s\n",
+				float64(e.At-x.an.Start)/1e3, float64(e.At-prev)/1e3,
+				e.Node, e.Layer, e.Kind, e.Name, eventDetail(e))
+			prev = e.At
+		}
+	}
+
+	printSpanTree(x.events, x.an.Start)
+	if *proto == "rrp" {
+		// The RRP server answers from the CAB; the one-way breakdown does
+		// not apply to the round trip.
+		return
+	}
+	r, err := x.stages()
+	if err != nil {
+		fmt.Printf("\n(stage breakdown unavailable: %v)\n", err)
+		return
+	}
+	fmt.Printf("\nfigure-6 stage breakdown (one-way, %s):\n", *proto)
+	for _, s := range r.Stages {
+		fmt.Printf("  %-40s %8.1f us  [%s]\n", s.Name, s.US, s.Bucket)
+	}
+	fmt.Printf("  %-40s %8.1f us\n", "total", r.TotalUS)
+	fmt.Printf("\nbuckets: host %.0f%%  host-CAB interface %.0f%%  CAB-to-CAB %.0f%%\n",
+		r.HostPct, r.InterfacePct, r.CABPct)
+}
+
+// exchange is the record of one traced exchange: the events inside its
+// window and the workload-side instants the event stream cannot see
+// (pure host compute phases).
+type exchange struct {
+	proto        string
+	events       []obs.Event
+	end          sim.Time
+	an           bench.StageAnchors
+	nodeA, nodeB int
+}
+
+// stages computes the Figure 6 one-way breakdown over the recorded
+// events, with the same stage boundaries nectar-bench fig6 uses.
+func (x *exchange) stages() (*bench.Fig6Result, error) {
+	var marks bench.Marks
+	for _, e := range x.events {
+		marks.Event(e)
+	}
+	return bench.OneWayStages(x.proto, &marks, x.nodeA, x.nodeB, x.an)
+}
+
+// run performs one exchange over proto with a size-byte payload and
+// returns its trace.
+func run(proto string, size int) (*exchange, error) {
 	cost := model.Default1990()
 	cl := nectar.NewCluster(&nectar.Config{Cost: cost})
 	a := cl.AddNode()
 	b := cl.AddNode()
+	x := &exchange{proto: proto, nodeA: int(a.ID), nodeB: int(b.ID)}
 
 	// Typed trace sink, gated so the boot transient is not recorded.
 	rec := &obs.Recorder{}
@@ -55,11 +119,10 @@ func main() {
 	service := b.Mailboxes.Create("trace.service")
 	addrSink := wire.MailboxAddr{Node: b.ID, Box: sink.ID()}
 	addrSvc := wire.MailboxAddr{Node: b.ID, Box: service.ID()}
-	payload := make([]byte, *size)
+	payload := make([]byte, size)
 
 	rxDone := false
-	var end, rxBegin, readDone, rxEnd sim.Time
-	if *proto == "rrp" {
+	if proto == "rrp" {
 		rxDone = true // the sender observes completion itself
 		b.CAB.Sched.Fork("server", threads.SystemPriority, func(t *threads.Thread) {
 			ctx := exec.OnCAB(t)
@@ -71,28 +134,27 @@ func main() {
 		b.Host.Run("receiver", func(t *threads.Thread) {
 			ctx := exec.OnHost(t, b.Host)
 			m := sink.BeginGetPoll(ctx)
-			rxBegin = t.Now()
+			x.an.RxBegin = t.Now()
 			buf := make([]byte, m.Len())
 			m.Read(ctx, 0, buf)
 			t.Compute(cost.HostMessageRead)
-			readDone = t.Now()
+			x.an.ReadDone = t.Now()
 			sink.EndGet(ctx, m)
-			rxEnd = t.Now()
-			end = rxEnd
+			x.an.RxEnd = t.Now()
+			x.end = x.an.RxEnd
 			rxDone = true
 		})
 	}
 
 	done := false
-	var start, createDone sim.Time
 	a.Host.Run("sender", func(t *threads.Thread) {
 		ctx := exec.OnHost(t, a.Host)
 		t.Sleep(5 * sim.Millisecond) // boot transient
 		tracing = true
-		start = t.Now()
+		x.an.Start = t.Now()
 		t.Compute(cost.HostMessageCreate) // the paper's "host creating the message"
-		createDone = t.Now()
-		switch *proto {
+		x.an.CreateDone = t.Now()
+		switch proto {
 		case "datagram":
 			a.Transports.Datagram.Send(ctx, addrSink, 0, payload, nil)
 		case "rmp":
@@ -107,49 +169,28 @@ func main() {
 			m := replyBox.BeginGetPoll(ctx)
 			replyBox.EndGet(ctx, m)
 		}
-		if t.Now() > end {
-			end = t.Now()
+		if t.Now() > x.end {
+			x.end = t.Now()
 		}
 		done = true
 	})
 
 	for !done || !rxDone {
 		if err := cl.RunFor(10 * sim.Millisecond); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		if cl.Now() > sim.Time(5*sim.Second) {
-			log.Fatal("exchange did not complete")
+			return nil, fmt.Errorf("exchange did not complete")
 		}
 	}
 
 	// Keep only events inside the exchange window.
-	events := rec.Events[:0]
 	for _, e := range rec.Events {
-		if e.At <= end {
-			events = append(events, e)
+		if e.At <= x.end {
+			x.events = append(x.events, e)
 		}
 	}
-
-	fmt.Printf("trace: %s, %d bytes, node %d -> node %d\n", *proto, *size, a.ID, b.ID)
-	fmt.Printf("end-to-end completion: %v (%d events)\n", sim.Duration(end-start), len(events))
-
-	if !*quiet {
-		fmt.Printf("\n%12s  %10s  event\n", "t (us)", "delta")
-		prev := start
-		for _, e := range events {
-			fmt.Printf("%12.3f  %+9.3f  n%d %-8s %-7s %s%s\n",
-				float64(e.At-start)/1e3, float64(e.At-prev)/1e3,
-				e.Node, e.Layer, e.Kind, e.Name, eventDetail(e))
-			prev = e.At
-		}
-	}
-
-	printSpanTree(events, start)
-	printStages(*proto, events, stageAnchors{
-		start: start, createDone: createDone,
-		rxBegin: rxBegin, readDone: readDone, rxEnd: rxEnd,
-		nodeA: int(a.ID), nodeB: int(b.ID),
-	})
+	return x, nil
 }
 
 func eventDetail(e obs.Event) string {
@@ -230,71 +271,4 @@ func printSpanTree(events []obs.Event, start sim.Time) {
 	for _, r := range roots {
 		walk(r, 0)
 	}
-}
-
-// stageAnchors carries the workload-side timestamps the typed stream
-// cannot see (pure host compute phases).
-type stageAnchors struct {
-	start, createDone, rxBegin, readDone, rxEnd sim.Time
-	nodeA, nodeB                                int
-}
-
-// printStages reproduces the Figure 6 one-way breakdown from the typed
-// event stream: each stage boundary is the first occurrence of a marker
-// event, and stages are summed into the paper's three buckets.
-func printStages(proto string, events []obs.Event, an stageAnchors) {
-	first := func(node int, layer obs.Layer, name, arg string) (sim.Time, bool) {
-		for _, e := range events {
-			if e.Node == node && e.Layer == layer && e.Name == name &&
-				(arg == "" || strings.HasPrefix(e.Arg, arg)) {
-				return e.At, true
-			}
-		}
-		return 0, false
-	}
-	post, ok1 := first(an.nodeA, obs.LayerHostIF, "post", "")
-	isr, ok2 := first(an.nodeA, obs.LayerHostIF, "cab_isr", "")
-	req, ok3 := first(an.nodeA, obs.LayerMailbox, "get", proto+".send")
-	dltx, ok4 := first(an.nodeA, obs.LayerDatalink, "tx", "")
-	arrive, ok5 := first(an.nodeB, obs.LayerCAB, "rx.arrive", "")
-	dlrx, ok6 := first(an.nodeB, obs.LayerDatalink, "rx", "")
-	deliver, ok7 := first(an.nodeB, obs.Layer(proto), "deliver", "")
-	if proto == "rrp" {
-		// The RRP server answers from the CAB; the one-way breakdown
-		// below does not apply to the round trip.
-		return
-	}
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) || an.rxEnd == 0 {
-		fmt.Printf("\n(stage breakdown unavailable: missing markers)\n")
-		return
-	}
-	us := func(from, to sim.Time) float64 { return sim.Duration(to - from).Micros() }
-	type stage struct {
-		name   string
-		us     float64
-		bucket string
-	}
-	stages := []stage{
-		{"host: create message", us(an.start, an.createDone), "host"},
-		{"host: begin_put/write/end_put", us(an.createDone, post), "interface"},
-		{"host->CAB: doorbell + CAB ISR", us(post, isr), "interface"},
-		{"CAB1: wake " + proto + " thread", us(isr, req), "interface"},
-		{"CAB1: transport + datalink out", us(req, dltx), "cab"},
-		{"wire: fiber + HUB", us(dltx, arrive), "cab"},
-		{"CAB2: start-of-packet + datalink", us(arrive, dlrx), "cab"},
-		{"CAB2: DMA + transport deliver", us(dlrx, deliver), "cab"},
-		{"CAB2->host: signal + poll + begin_get", us(deliver, an.rxBegin), "interface"},
-		{"host: read message", us(an.rxBegin, an.readDone), "host"},
-		{"host: end_get", us(an.readDone, an.rxEnd), "interface"},
-	}
-	total := us(an.start, an.rxEnd)
-	fmt.Printf("\nfigure-6 stage breakdown (one-way, %s):\n", proto)
-	buckets := map[string]float64{}
-	for _, s := range stages {
-		fmt.Printf("  %-40s %8.1f us  [%s]\n", s.name, s.us, s.bucket)
-		buckets[s.bucket] += s.us
-	}
-	fmt.Printf("  %-40s %8.1f us\n", "total", total)
-	fmt.Printf("\nbuckets: host %.0f%%  host-CAB interface %.0f%%  CAB-to-CAB %.0f%%\n",
-		100*buckets["host"]/total, 100*buckets["interface"]/total, 100*buckets["cab"]/total)
 }

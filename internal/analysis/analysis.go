@@ -21,7 +21,7 @@
 //	             surfaces (the PDES scheduler, the parallel sweep pool,
 //	             and the kernel's Proc coroutine launcher).
 //	hotpath    — functions annotated //nectar:hotpath must avoid obvious
-//	             allocation sources (Sprintf/Markf, unsized append,
+//	             allocation sources (Sprintf/Tracef, unsized append,
 //	             value-to-interface conversion, capturing closures).
 //	hotprop    — interprocedural extension of hotpath: every function
 //	             reachable from a //nectar:hotpath root through the call

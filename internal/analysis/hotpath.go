@@ -15,7 +15,7 @@ import (
 //
 // Reported allocation sources:
 //
-//   - fmt.Sprintf/Sprint/Sprintln/Errorf/Fprintf/Appendf and Markf-style
+//   - fmt.Sprintf/Sprint/Sprintln/Errorf/Fprintf/Appendf and Tracef-style
 //     calls: the variadic ...any slice and its boxed elements allocate
 //     even when the result is discarded. (Calls inside a panic(...)
 //     argument are exempt — invariant-violation paths are dead in steady
@@ -35,22 +35,22 @@ import (
 // function transitively reachable from an annotated root.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc: "for functions annotated //nectar:hotpath, report obvious allocation sources: fmt.Sprintf/Markf-style " +
+	Doc: "for functions annotated //nectar:hotpath, report obvious allocation sources: fmt.Sprintf/Tracef-style " +
 		"calls, append to a local slice declared without capacity, value-to-interface conversions, and capturing " +
 		"closures. Also validates that //nectar:hotpath annotates a function declaration.",
 	Run: runHotpath,
 }
 
 // hotpathFmt lists the fmt formatters whose variadic ...any always
-// allocates; Markf-style methods (any method named Markf/Tracef/Logf)
-// are matched by name.
+// allocates; Tracef-style methods (any method named Tracef/Logf) are
+// matched by name.
 var hotpathFmt = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true,
 	"Errorf": true, "Fprintf": true, "Appendf": true,
 }
 
 var hotpathFmtMethods = map[string]bool{
-	"Markf": true, "Tracef": true, "Logf": true,
+	"Tracef": true, "Logf": true,
 }
 
 func runHotpath(pass *Pass) (any, error) {
@@ -148,7 +148,7 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, presized map[types.Object]bo
 		}
 		if _, name := recvPkgPath(info, sel); hotpathFmtMethods[name] {
 			hc.report(call.Pos(), "%s builds its variadic args even when tracing is off; "+
-				"precompute the mark name and call the non-formatting variant", name)
+				"precompute the name and call the non-formatting variant", name)
 			return
 		}
 	}

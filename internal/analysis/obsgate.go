@@ -400,7 +400,7 @@ func (oc *obsChecker) costlyExpr(e ast.Expr) ast.Expr {
 }
 
 // costlyCall reports whether call is an allocating library call, an
-// allocating builtin, a Markf-style formatting method, or a
+// allocating builtin, a Tracef-style formatting method, or a
 // string<->[]byte/[]rune conversion.
 func (oc *obsChecker) costlyCall(call *ast.CallExpr) bool {
 	info := oc.info

@@ -21,14 +21,6 @@ func metricsFromMap(c *obs.Counter, m map[string]uint64) {
 	}
 }
 
-func marksFromMap(k *sim.Kernel, m map[string]bool) {
-	for name := range m {
-		if m[name] {
-			k.Mark(name) // want `sim\.Mark emits order-sensitive output`
-		}
-	}
-}
-
 func outboxFromMap(src, dst *sim.Domain, pending map[sim.Time]func()) {
 	for at, fn := range pending {
 		src.Send(dst, at, fn) // want `sim\.Send emits order-sensitive output`

@@ -13,14 +13,14 @@ func format(n int) string {
 
 type tracer struct{}
 
-func (tracer) Markf(format string, args ...any) {}
-func (tracer) Mark(name string)                 {}
+func (tracer) Tracef(format string, args ...any) {}
+func (tracer) Trace(name string)                 {}
 
-// markf pays for the args slice even when tracing is off.
+// tracef pays for the args slice even when tracing is off.
 //
 //nectar:hotpath
-func markf(t tracer, n int) {
-	t.Markf("ev %d", n) // want `Markf builds its variadic args even when tracing is off`
+func tracef(t tracer, n int) {
+	t.Tracef("ev %d", n) // want `Tracef builds its variadic args even when tracing is off`
 }
 
 // grow appends to a local declared without capacity.
@@ -83,7 +83,7 @@ func clean(t tracer, dst []int, n int) []int {
 		buf = append(buf, i)
 		dst = append(dst, i)
 	}
-	t.Mark("clean")
+	t.Trace("clean")
 	return buf
 }
 

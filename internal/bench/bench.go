@@ -47,26 +47,59 @@ func newCluster(cost *model.CostModel, rxThread bool) (*nectar.Cluster, *nectar.
 	return cl, a, b
 }
 
-// traceMarks installs a first-occurrence mark recorder on every shard
-// kernel of cl (one kernel when sequential) and returns the map to read
-// after the run. Mark names are node-qualified, so each name fires on
-// exactly one kernel and the recorded virtual times are deterministic
-// regardless of sharding; the mutex only guards the map against
-// concurrent shard goroutines.
-func traceMarks(cl *nectar.Cluster) map[string]sim.Time {
-	marks := map[string]sim.Time{}
-	var mu sync.Mutex
-	tracer := func(name string, at sim.Time) {
-		mu.Lock()
-		if _, ok := marks[name]; !ok {
-			marks[name] = at
-		}
-		mu.Unlock()
+// Marks is an obs.Sink that records the virtual time of the first
+// occurrence of each distinct (node, layer, name, arg) trace event, and
+// under arg "" the first occurrence of (node, layer, name) with any arg.
+// Experiments read stage boundaries from it after a run. A node's events
+// fire on one kernel in virtual-time order, so node-scoped lookups are
+// deterministic regardless of sharding; the mutex only guards the map
+// against shard goroutines emitting concurrently.
+type Marks struct {
+	mu sync.Mutex
+	at map[markKey]sim.Time
+}
+
+type markKey struct {
+	node      int
+	layer     obs.Layer
+	name, arg string
+}
+
+// Event implements obs.Sink.
+func (m *Marks) Event(e obs.Event) {
+	m.mu.Lock()
+	if m.at == nil {
+		m.at = map[markKey]sim.Time{}
 	}
+	m.note(markKey{e.Node, e.Layer, e.Name, e.Arg}, e.At)
+	if e.Arg != "" {
+		m.note(markKey{e.Node, e.Layer, e.Name, ""}, e.At)
+	}
+	m.mu.Unlock()
+}
+
+func (m *Marks) note(k markKey, at sim.Time) {
+	if _, ok := m.at[k]; !ok {
+		m.at[k] = at
+	}
+}
+
+// At returns when the first matching event fired; arg "" matches any arg.
+func (m *Marks) At(node int, layer obs.Layer, name, arg string) (sim.Time, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	at, ok := m.at[markKey{node, layer, name, arg}]
+	return at, ok
+}
+
+// traceMarks installs a Marks sink on every shard kernel of cl (one
+// kernel when sequential) and returns it to read after the run.
+func traceMarks(cl *nectar.Cluster) *Marks {
+	m := &Marks{}
 	for _, k := range cl.Kernels() {
-		k.SetTracer(tracer)
+		obs.Ensure(k).SetSink(m)
 	}
-	return marks
+	return m
 }
 
 // drive runs the cluster until *done is true, in 1 ms steps, failing after

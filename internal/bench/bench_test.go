@@ -2,6 +2,8 @@ package bench
 
 import (
 	"testing"
+
+	"nectar/internal/sim"
 )
 
 // The calibration tests pin the reproduction to the paper's anchors: if a
@@ -72,6 +74,51 @@ func TestCalibrationFig6(t *testing.T) {
 	}
 	if diff := sum - r.TotalUS; diff > 0.01 || diff < -0.01 {
 		t.Errorf("stages sum to %.2f, total %.2f", sum, r.TotalUS)
+	}
+}
+
+// TestFig6Pinned holds every Figure 6 stage, the total, and Micro's HUB
+// first-byte latency to the exact nanosecond values recorded in
+// EXPERIMENTS.md E2 and E6. The calibration bands above are loose on
+// purpose; this test catches any drift of the stage boundaries themselves.
+func TestFig6Pinned(t *testing.T) {
+	r, err := Fig6(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name string
+		ns   int64
+	}{
+		{"host: create message", 14000},
+		{"host: begin_put/write/end_put", 25000},
+		{"host->CAB: doorbell + CAB ISR", 4000},
+		{"CAB1: wake datagram thread", 23000},
+		{"CAB1: transport + datalink out", 17000},
+		{"wire: fiber + HUB", 700},
+		{"CAB2: start-of-packet + datalink", 4720},
+		{"CAB2: DMA + transport deliver", 35500},
+		{"CAB2->host: signal + poll + begin_get", 8080},
+		{"host: read message", 15000},
+		{"host: end_get", 10500},
+	}
+	if len(r.Stages) != len(want) {
+		t.Fatalf("got %d stages, want %d", len(r.Stages), len(want))
+	}
+	for i, w := range want {
+		if s := r.Stages[i]; s.Name != w.name || s.US != sim.Duration(w.ns).Micros() {
+			t.Errorf("stage %d = %q %.3f us, want %q %.3f us", i, s.Name, s.US, w.name, sim.Duration(w.ns).Micros())
+		}
+	}
+	if r.TotalUS != sim.Duration(157500).Micros() {
+		t.Errorf("total = %.3f us, want 157.500", r.TotalUS)
+	}
+	m, err := Micro(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.HubFirstByteNS != 700 {
+		t.Errorf("HUB first byte = %v ns, want 700", m.HubFirstByteNS)
 	}
 }
 
@@ -276,7 +323,7 @@ func TestAblationFormatSmoke(t *testing.T) {
 		(&AblateSwitchingResult{}).Format(),
 		(&AblateMailboxImplResult{}).Format(),
 		(&NetdevResult{}).Format(),
-		(&Fig6Result{TotalUS: 1, Stages: []Fig6Stage{{"x", 1}}}).Format(),
+		(&Fig6Result{TotalUS: 1, Stages: []Fig6Stage{{Name: "x", US: 1}}}).Format(),
 	} {
 		if s == "" {
 			t.Error("empty formatter output")

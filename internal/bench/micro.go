@@ -7,6 +7,7 @@ import (
 	"nectar/internal/hw/ether"
 	"nectar/internal/model"
 	"nectar/internal/netdev"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -43,8 +44,8 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 		if err := drive(cl, &done); err != nil {
 			return nil, err
 		}
-		tx := marks[fmt.Sprintf("dl.tx.%d", a.ID)]
-		rx := marks[fmt.Sprintf("cab.rx.arrive.%d", b.ID)]
+		tx, _ := marks.At(int(a.ID), obs.LayerDatalink, "tx", "")
+		rx, _ := marks.At(int(b.ID), obs.LayerCAB, "rx.arrive", "")
 		res.HubFirstByteNS = float64((rx - tx).Nanos())
 	}
 

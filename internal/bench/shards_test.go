@@ -135,6 +135,42 @@ func TestShardedExperimentsIdentical(t *testing.T) {
 			t.Errorf("sharded micro differs:\nseq:\n%s\nshd:\n%s", seq.Format(), shd.Format())
 		}
 	})
+
+	ablations := []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"ablate-rmpwindow", func() (string, error) { r, err := AblateRMPWindow(nil); return format(r, err) }},
+		{"ablate-ipmode", func() (string, error) { r, err := AblateIPMode(nil); return format(r, err) }},
+		{"ablate-upcall", func() (string, error) { r, err := AblateUpcall(nil); return format(r, err) }},
+		{"ablate-switching", func() (string, error) { r, err := AblateSwitching(nil); return format(r, err) }},
+		{"ablate-appload", func() (string, error) { r, err := AblateAppLoad(nil); return format(r, err) }},
+		{"mailbox-impl", func() (string, error) { r, err := AblateMailboxImpl(nil); return format(r, err) }},
+	}
+	for _, a := range ablations {
+		t.Run(a.name, func(t *testing.T) {
+			seq, err := a.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shd string
+			withShards(t, 2, func() { shd, err = a.run() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shd != seq {
+				t.Errorf("sharded %s differs:\nseq:\n%s\nshd:\n%s", a.name, seq, shd)
+			}
+		})
+	}
+}
+
+// format renders an experiment result, passing its error through.
+func format(r interface{ Format() string }, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Format(), nil
 }
 
 // TestPdesReport runs the pdes experiment end to end on a small workload
@@ -213,6 +249,12 @@ func TestPdesAffinity(t *testing.T) {
 	}
 	if shd.profile.CrossShardFrames != 0 {
 		t.Errorf("flow-affinity partitioning still crossed shards: %d frames", shd.profile.CrossShardFrames)
+	}
+	// Every channel saturates under affinity, so each window is bounded
+	// only by the driver's horizon: no span can exceed the virtual time
+	// the run covered (a MaxTime sentinel would).
+	if span, virt := shd.profile.WindowSpanUS.Max, float64(shd.profile.VirtualNS+1)/1e3; span > virt {
+		t.Errorf("window span max = %v us exceeds the %v us of virtual time covered", span, virt)
 	}
 	if shd.windows >= seq.events {
 		t.Errorf("affinity run used %d windows for %d events: coalescing is not batching", shd.windows, seq.events)

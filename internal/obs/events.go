@@ -3,10 +3,10 @@
 // all on virtual time.
 //
 // The package sits below every hardware and runtime model (it imports
-// only internal/sim and internal/proto/wire), and is wired to a kernel
-// through the kernel's opaque observer slot: Ensure(k) installs (or
-// returns) the kernel's Observer, and every layer that wants to emit
-// events or register metrics calls it at construction time.
+// only internal/sim, internal/prof and internal/proto/wire), and is wired
+// to a kernel through the kernel's opaque observer slot: Ensure(k)
+// installs (or returns) the kernel's Observer, and every layer that wants
+// to emit events or register metrics calls it at construction time.
 //
 // Cost discipline: obs never charges virtual time (no Compute/Words
 // calls), so enabling any part of it cannot change simulation results.
@@ -47,7 +47,7 @@ const (
 type Kind uint8
 
 const (
-	// Instant is a point event (the typed successor of Kernel.Mark).
+	// Instant is a point event.
 	Instant Kind = iota
 	// Begin opens a span; the matching End event carries the same Span id.
 	Begin

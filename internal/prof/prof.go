@@ -58,9 +58,9 @@ func nowNanos() int64 {
 
 // Hist accumulates non-negative int64 samples (nanoseconds or counts)
 // into log2 buckets. Observe is allocation-free; quantiles are derived at
-// export time with bucket resolution, clamped to the observed extrema —
-// the same scheme as obs.Histogram, duplicated here so the collector
-// stays free of simulation-facing dependencies.
+// export time with bucket resolution, clamped to the observed extrema. It
+// is the repo's one histogram collector: obs.Histogram wraps it for
+// virtual-time metrics, and this package uses it for wall-clock ones.
 type Hist struct {
 	buckets [65]uint64 // bucket i holds samples with bits.Len64(v) == i
 	count   uint64
@@ -86,6 +86,26 @@ func (h *Hist) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// Merge folds other into h at bucket level: counts, sums and extrema
+// compose exactly, so the merged quantiles equal those of one Hist that
+// observed every sample, however the samples were split.
+func (h *Hist) Merge(other *Hist) {
+	if h == nil || other == nil || other.count == 0 {
+		return
+	}
+	for i, n := range other.buckets {
+		h.buckets[i] += n
+	}
+	if h.count == 0 || other.min < h.min {
+		h.min = other.min
+	}
+	if other.max > h.max {
+		h.max = other.max
+	}
+	h.count += other.count
+	h.sum += other.sum
 }
 
 // quantile returns an upper bound for the q-quantile at bucket
@@ -289,9 +309,10 @@ type Profile struct {
 	barrierNs   int64 // publishing windows and awaiting worker completion
 	drainNs     int64 // injecting buffered cross-shard messages
 
-	windows       uint64
-	multiWindows  uint64
-	inlineWindows uint64
+	windows          uint64
+	multiWindows     uint64
+	inlineWindows    uint64
+	saturatedWindows uint64
 
 	// Inline windows (one active shard) run on the scheduler goroutine;
 	// their cost is attributed per shard here, not in Worker, so every
@@ -303,8 +324,8 @@ type Profile struct {
 	drainInj   []uint64 // per source shard
 	drainBytes []uint64 // per source shard
 
-	winSpan   Hist // safe-window width beyond the earliest event, virtual ns
-	lookahead Hist // per-gateway EarliestOutput(net) - net, virtual ns
+	winSpan   Hist // safe-window width beyond the earliest event, virtual ns (unsaturated windows)
+	lookahead Hist // per-gateway min over destinations of EarliestOutputTo(dst, act) - act, virtual ns
 	winEvents Hist // kernel dispatches per window
 }
 
@@ -373,15 +394,21 @@ func (p *Profile) SpawnJoin(t0 int64) int64 {
 
 // Choose accrues one window-selection phase that started at t0: spanNs is
 // the safe window's virtual width beyond the earliest event (bound -
-// minNET), active the number of shards with events inside it. Returns its
-// end sample (stopwatch chaining).
-func (p *Profile) Choose(t0, spanNs int64, active int) int64 {
+// minNET, after the run-horizon clamp), active the number of shards with
+// events inside it. A saturated window — one no gateway bounds, so it
+// runs to the end of the queue — has no finite span: it is counted
+// instead of observed. Returns its end sample (stopwatch chaining).
+func (p *Profile) Choose(t0, spanNs int64, saturated bool, active int) int64 {
 	if p == nil {
 		return 0
 	}
 	t1 := nowNanos()
 	p.chooseNs += t1 - t0
-	p.winSpan.Observe(spanNs)
+	if saturated {
+		p.saturatedWindows++
+	} else {
+		p.winSpan.Observe(spanNs)
+	}
 	p.windows++
 	if active > 1 {
 		p.multiWindows++
@@ -522,6 +549,9 @@ type Report struct {
 	Windows       uint64 `json:"windows"`
 	MultiWindows  uint64 `json:"multi_windows"`
 	InlineWindows uint64 `json:"inline_windows"`
+	// SaturatedWindows counts windows no gateway bounded; window_span_us
+	// covers the rest.
+	SaturatedWindows uint64 `json:"saturated_windows"`
 
 	Sched     SchedReport   `json:"sched"`
 	PerShard  []ShardReport `json:"per_shard"`
@@ -561,12 +591,13 @@ func (p *Profile) Report() *Report {
 		return nil
 	}
 	r := &Report{
-		WallSeconds:   float64(p.wallNs) / nsPerSec,
-		Runs:          p.runs,
-		Shards:        len(p.workers),
-		Windows:       p.windows,
-		MultiWindows:  p.multiWindows,
-		InlineWindows: p.inlineWindows,
+		WallSeconds:      float64(p.wallNs) / nsPerSec,
+		Runs:             p.runs,
+		Shards:           len(p.workers),
+		Windows:          p.windows,
+		MultiWindows:     p.multiWindows,
+		InlineWindows:    p.inlineWindows,
+		SaturatedWindows: p.saturatedWindows,
 		Sched: SchedReport{
 			SpawnJoinSeconds: float64(p.spawnJoinNs) / nsPerSec,
 			ChooseSeconds:    float64(p.chooseNs) / nsPerSec,
@@ -726,8 +757,9 @@ func (r *Report) Check(minAccounted float64) error {
 		return fmt.Errorf("prof: multi (%d) + inline (%d) windows exceed total %d",
 			r.MultiWindows, r.InlineWindows, r.Windows)
 	}
-	if r.WindowSpanUS.Count != r.Windows {
-		return fmt.Errorf("prof: window_span_us.count = %d, want windows = %d", r.WindowSpanUS.Count, r.Windows)
+	if r.WindowSpanUS.Count+r.SaturatedWindows != r.Windows {
+		return fmt.Errorf("prof: window_span_us.count %d + saturated_windows %d, want windows = %d",
+			r.WindowSpanUS.Count, r.SaturatedWindows, r.Windows)
 	}
 	var shardWindows, shardEvents uint64
 	for _, s := range r.PerShard {
@@ -803,6 +835,9 @@ func (r *Report) FormatHistograms() string {
 	}
 	b.WriteString("window distributions\n")
 	line("window span", "us virtual", r.WindowSpanUS)
+	if r.SaturatedWindows > 0 {
+		fmt.Fprintf(&b, "  %-18s n=%-8d (no gateway bound; not in window span)\n", "saturated windows", r.SaturatedWindows)
+	}
 	line("gateway lookahead", "us virtual", r.LookaheadUS)
 	line("events/window", "events", r.EventsPerWindow)
 	if r.Windows > 0 {

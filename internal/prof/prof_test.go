@@ -142,7 +142,7 @@ func TestNilCollectorsZeroCost(t *testing.T) {
 		_ = p.Shards()
 		p.RunEnd(0)
 		p.SpawnJoin(0)
-		p.Choose(0, 10, 2)
+		p.Choose(0, 10, false, 2)
 		p.ChooseAbort(0)
 		p.Lookahead(700)
 		p.Barrier(0)
@@ -173,7 +173,7 @@ func TestEnabledHotPathZeroAlloc(t *testing.T) {
 		w.Compute(t1, 2)
 		tc := p.Now()
 		p.Lookahead(700)
-		p.Choose(tc, 1000, 2)
+		p.Choose(tc, 1000, false, 2)
 		p.WindowEvents(4)
 		tb := p.Now()
 		p.Barrier(tb)
@@ -197,7 +197,7 @@ func driveProfile() *Profile {
 		tc := p.Now()
 		p.Lookahead(700)
 		p.Lookahead(900)
-		p.Choose(tc, 700, 2)
+		p.Choose(tc, 700, false, 2)
 		tb := p.Now()
 		for i := 0; i < 2; i++ {
 			w := p.Worker(i)
@@ -214,7 +214,7 @@ func driveProfile() *Profile {
 		p.Drain(td)
 	}
 	tc := p.Now()
-	p.Choose(tc, 1200, 1)
+	p.Choose(tc, 1200, false, 1)
 	ti := p.Now()
 	spin(64)
 	p.Inline(ti, 1, 4)

@@ -6,6 +6,7 @@ package sim
 // worker barrier path when disabled.
 
 import (
+	"fmt"
 	"testing"
 
 	"nectar/internal/prof"
@@ -239,5 +240,76 @@ func TestZeroAllocSchedulerDrainDisabled(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("disabled drain path allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// silentGateway never emits: every destination's bound saturates at
+// MaxTime, as on a flow-affinity partition whose declared reach excludes
+// every other shard.
+type silentGateway struct{}
+
+func (silentGateway) EarliestOutputTo(int, Time) Time { return MaxTime }
+
+// TestProfileWindowSpanNoSentinel runs windows no gateway bounds, first
+// under a run horizon and then draining the queue. No window span
+// observation may be sentinel-sized: horizon-clamped windows record their
+// clamped width, and drain windows bounded by nothing are counted as
+// saturated instead of observed.
+func TestProfileWindowSpanNoSentinel(t *testing.T) {
+	const horizon = Time(10 * Microsecond)
+	c := NewCoupling()
+	a := c.AddDomain(NewKernel())
+	b := c.AddDomain(NewKernel())
+	a.AddGateway(silentGateway{})
+	b.AddGateway(silentGateway{})
+	p := prof.New(2)
+	c.SetProfile(p)
+	for _, d := range []*Domain{a, b} {
+		for at := Time(0); at < 3*horizon; at += horizon / 4 {
+			d.Kernel().At(at, func() {})
+		}
+	}
+	if err := c.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r := p.Report()
+	if r.SaturatedWindows == 0 {
+		t.Error("drain run recorded no saturated window")
+	}
+	if r.WindowSpanUS.Count == 0 {
+		t.Error("horizon-clamped run recorded no window span")
+	}
+	if limit := Duration(horizon + 1).Micros(); r.WindowSpanUS.Max > limit {
+		t.Errorf("window span max = %v us, want <= %v us (the clamped bound)", r.WindowSpanUS.Max, limit)
+	}
+	if err := r.Check(0.5); err != nil {
+		t.Errorf("Check: %v", err)
+	}
+}
+
+// TestZeroAllocSafeBounds guards the per-window bound computation: it
+// calls every gateway once per destination per fixpoint pass, so it must
+// stay allocation-free.
+func TestZeroAllocSafeBounds(t *testing.T) {
+	c := NewCoupling()
+	for i := 0; i < 3; i++ {
+		d := c.AddDomain(NewKernel())
+		d.AddGateway(fixedLookahead{700})
+		d.Kernel().At(Time(100*i), func() {})
+	}
+	c.bounds = make([]Time, c.Domains())
+	c.acts = make([]Time, c.Domains())
+	var bMin Time
+	allocs := testing.AllocsPerRun(200, func() { bMin = c.safeBounds() })
+	if allocs != 0 {
+		t.Errorf("safeBounds allocates %.1f allocs/op, want 0", allocs)
+	}
+	// Domain 0's bound comes from domain 1 (event at 100, lookahead 700);
+	// domains 1 and 2 are bounded by domain 0 at 0+700.
+	if want := []Time{800, 700, 700}; bMin != 700 || fmt.Sprint(c.bounds) != fmt.Sprint(want) {
+		t.Errorf("bounds = %v (min %v), want %v (min 700)", c.bounds, bMin, want)
 	}
 }

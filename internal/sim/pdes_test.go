@@ -7,17 +7,17 @@ import (
 	"testing"
 )
 
-// fixedLookahead is the simplest Gateway: any future output is at least
-// lookahead after the domain's next event.
+// fixedLookahead is the simplest Gateway: any future output, into any
+// destination, is at least lookahead after the domain's activity floor.
 type fixedLookahead struct {
 	lookahead Duration
 }
 
-func (g fixedLookahead) EarliestOutput(net Time) Time {
-	if net >= MaxTime {
+func (g fixedLookahead) EarliestOutputTo(_ int, act Time) Time {
+	if act >= MaxTime {
 		return MaxTime
 	}
-	return net + Time(g.lookahead)
+	return act + Time(g.lookahead)
 }
 
 // TestCouplingPingPong bounces a message between two domains with a fixed

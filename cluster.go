@@ -25,6 +25,7 @@ package nectar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nectar/internal/fabric"
@@ -79,21 +80,16 @@ type Config struct {
 	// RxThreadMode selects the §3.1 ablation: protocol input processing
 	// in a high-priority thread instead of at interrupt time.
 	RxThreadMode bool
-	// HubPorts is the crossbar size (default hub.DefaultPorts). Ignored
-	// when Topology is set (the fabric defines per-HUB port counts).
-	HubPorts int
 
-	// Topology, when non-nil, builds the whole HUB fabric from data: the
-	// cluster creates every crossbar and trunk fiber of the fabric up
-	// front and registers each attachment point as a *compact* node — a
-	// few bytes of arena state (hub, port, shard) instead of a booted
-	// protocol stack. Node(i) materializes the full host/CAB pair at
-	// attachment point i on first use, so a 100k-node fabric fits in
-	// memory and only the nodes that actually carry traffic (declared by
-	// Flows, typically) pay for stacks. Hand-wiring (AddHub, ConnectHubs,
-	// AddNode) is unavailable on fabric clusters, and sharded execution
-	// over multiple HUBs is available only through a Topology (trunk
-	// ownership needs the whole fabric up front).
+	// Topology is the HUB installation as data (nil: one crossbar of
+	// hub.DefaultPorts ports, fabric.Star). The cluster creates every
+	// crossbar and trunk fiber up front and registers each attachment
+	// point as a *compact* node — a few bytes of arena state (hub, port,
+	// shard) instead of a booted protocol stack. AddNode materializes the
+	// next free attachment point in index order and Node(i) a given one,
+	// so a 100k-node fabric fits in memory and only the nodes that
+	// actually carry traffic (declared by Flows, typically) pay for
+	// stacks.
 	Topology *fabric.Topology
 	// CABDataBytes overrides each CAB's packet-memory size (0: the
 	// default 1 MB). Scale experiments shrink it so tens of thousands of
@@ -105,14 +101,17 @@ type Config struct {
 	// threads under a conservative time-window scheduler (see
 	// internal/sim's Coupling). The HUB setup latency on cross-shard
 	// fiber paths is the scheduler's lookahead, so results are
-	// byte-identical to a sequential run. Sharded clusters are limited
-	// to a single HUB and cannot open circuits (zero lookahead).
-	// 0 or 1 means sequential execution on one kernel (the default).
+	// byte-identical to a sequential run. Sharded clusters cannot open
+	// circuits (zero lookahead). 0 or 1 means sequential execution on
+	// one kernel (the default).
 	Shards int
-	// ShardOf maps a node's index (in AddNode order) to its shard in
-	// [0, Shards). nil: round-robin (index % Shards). Placing the two
-	// ends of a busy flow on different shards is what buys parallelism;
-	// placing chatty neighbors together minimizes window overhead.
+	// ShardOf maps a node's index (its attachment point; AddNode order)
+	// to its shard in [0, Shards). nil: round-robin (index % Shards).
+	// It is asked lazily — for a node when it materializes, and for a
+	// declared flow endpoint when trunk ownership is planned — so it need
+	// only cover the nodes a workload uses. Placing the two ends of a
+	// busy flow on different shards is what buys parallelism; placing
+	// chatty neighbors together minimizes window overhead.
 	ShardOf func(nodeIdx int) int
 	// Flows, when non-nil, declares the COMPLETE communication graph of
 	// the workload as node-index pairs: node i may exchange frames with
@@ -140,42 +139,36 @@ type Cluster struct {
 
 	Nodes []*Node
 
-	cfg      Config
-	hubLinks []hubLink
-	nextPort []int // per hub
+	cfg Config
 
 	// Shared deduplicated route table: every CAB route entry is a
 	// reference into it (one string per (srcHub, dstHub, dstPort)
-	// triple), built lazily over the topology's closed-form router or a
-	// BFS over hand-wired hub links.
+	// triple), built lazily over the topology's closed-form router.
 	routeTab *fabric.RouteTable
 
-	// Fabric state (Config.Topology; nil/empty otherwise). mat holds the
-	// materialized node at each attachment point (nil = compact); trunks
-	// holds the directed inter-HUB links in fabric.Trunks order.
+	// Fabric state. mat holds the materialized node at each attachment
+	// point (nil = compact) and next the lowest attachment point AddNode
+	// may still materialize; trunks holds the directed inter-HUB links in
+	// fabric.Trunks order.
 	topo       *fabric.Topology
 	mat        []*Node
+	next       int
 	trunks     []*fiber.Link
-	trunkOwner []int32 // directed trunk -> owning shard (sharded fabrics)
+	trunkOwner []int32       // directed trunk -> owning shard (sharded fabrics)
+	uplinks    []*fiber.Link // node index -> its CAB->HUB link (the shard gateway); nil = compact
 
 	// Sharded execution state (nil/empty when sequential).
 	coupling  *sim.Coupling
 	domains   []*sim.Domain // one per shard
-	nodeShard []int32       // node index -> shard (arena; all attachment points on fabrics)
-	uplinks   []*fiber.Link // node index -> its CAB->HUB link (the shard gateway); nil = compact
-
-	// Materialized wire IDs back to node indices (send-guard resolution).
-	idToIdx map[wire.NodeID]int32
+	nodeShard []int32       // node index -> shard, -1 until Config.ShardOf is asked
 
 	// Declared traffic matrix (Config.Flows): node index -> set of peer
 	// node indices it may exchange frames with. nil when undeclared.
 	flowPeers []map[int]bool
 }
 
-type hubLink struct{ fromHub, fromPort, toHub, toPort int }
-
-// NewCluster creates a cluster with one HUB and the given configuration
-// (pass nil for defaults).
+// NewCluster creates a cluster over Config.Topology — one HUB by default —
+// with the given configuration (pass nil for defaults).
 func NewCluster(cfg *Config) *Cluster {
 	c := Config{}
 	if cfg != nil {
@@ -184,10 +177,7 @@ func NewCluster(cfg *Config) *Cluster {
 	if c.Cost == nil {
 		c.Cost = model.Default1990()
 	}
-	if c.HubPorts == 0 {
-		c.HubPorts = hub.DefaultPorts
-	}
-	cl := &Cluster{Cost: c.Cost, cfg: c, idToIdx: make(map[wire.NodeID]int32)}
+	cl := &Cluster{Cost: c.Cost, cfg: c}
 	if c.Flows != nil {
 		n := 0
 		for _, f := range c.Flows {
@@ -221,67 +211,30 @@ func NewCluster(cfg *Config) *Cluster {
 	} else {
 		cl.K = sim.NewKernel()
 	}
-	if c.Topology != nil {
-		cl.buildFabric(c.Topology)
-		return cl
+	topo := c.Topology
+	if topo == nil {
+		topo = fabric.Star(hub.DefaultPorts)
 	}
-	cl.AddHub()
-	if cl.coupling != nil {
-		cl.Hubs[0].SetSharded()
-	}
+	cl.buildFabric(topo)
 	return cl
 }
 
-// AddHub adds a crossbar to the installation and returns its index.
-func (cl *Cluster) AddHub() int {
-	if cl.topo != nil {
-		panic("nectar: the HUB fabric comes from Config.Topology; hand-wiring is unavailable")
+// AddNode materializes the next attachment point of the topology, in
+// index order, that neither AddNode nor Node has materialized yet, and
+// returns it: on the default single HUB, the next free port.
+func (cl *Cluster) AddNode() *Node {
+	for cl.next < len(cl.mat) && cl.mat[cl.next] != nil {
+		cl.next++
 	}
-	if cl.coupling != nil && len(cl.Hubs) > 0 {
-		panic("nectar: sharded clusters hand-wire a single HUB; pass Config.Topology for a sharded multi-HUB fabric")
+	if cl.next == len(cl.mat) {
+		sim.Panicf("nectar: all %d attachment points of %s are in use", len(cl.mat), cl.topo.Name)
 	}
-	h := hub.New(cl.K, cl.Cost, fmt.Sprintf("hub%d", len(cl.Hubs)), cl.cfg.HubPorts)
-	cl.Hubs = append(cl.Hubs, h)
-	cl.nextPort = append(cl.nextPort, 0)
-	return len(cl.Hubs) - 1
+	return cl.materialize(cl.next)
 }
 
-// ConnectHubs joins two HUBs with a fiber pair, consuming one port on
-// each (large Nectar systems are built this way, paper §2.1).
-func (cl *Cluster) ConnectHubs(a, b int) {
-	if cl.topo != nil {
-		panic("nectar: the HUB fabric comes from Config.Topology; hand-wiring is unavailable")
-	}
-	if cl.coupling != nil {
-		panic("nectar: sharded clusters hand-wire a single HUB; pass Config.Topology for a sharded multi-HUB fabric")
-	}
-	pa := cl.allocPort(a)
-	pb := cl.allocPort(b)
-	cl.Hubs[a].ConnectOut(pa, fiber.NewLink(cl.K, cl.Cost,
-		fmt.Sprintf("hub%d.%d->hub%d", a, pa, b), cl.Hubs[b].InPort(pb)))
-	cl.Hubs[b].ConnectOut(pb, fiber.NewLink(cl.K, cl.Cost,
-		fmt.Sprintf("hub%d.%d->hub%d", b, pb, a), cl.Hubs[a].InPort(pa)))
-	cl.hubLinks = append(cl.hubLinks, hubLink{a, pa, b, pb}, hubLink{b, pb, a, pa})
-	if cl.routeTab != nil {
-		cl.routeTab.Reset() // hub paths changed; cached routes are stale
-	}
-	cl.recomputeRoutes()
-}
-
-func (cl *Cluster) allocPort(hubIdx int) int {
-	p := cl.nextPort[hubIdx]
-	if p >= cl.Hubs[hubIdx].Ports() {
-		sim.Panicf("nectar: hub %d out of ports", hubIdx)
-	}
-	cl.nextPort[hubIdx]++
-	return p
-}
-
-// AddNode attaches a new host/CAB pair to HUB 0.
-func (cl *Cluster) AddNode() *Node { return cl.AddNodeAt(0) }
-
-// AddNodeAt attaches a new host/CAB pair to the given HUB and boots its
-// runtime system and protocol stacks.
+// bootNode builds and boots the full host/CAB pair at attachment point
+// idx: hardware, fibers with their gateway role, runtime system and
+// protocol stacks. Route installation is the caller's job.
 //
 // Under sharded execution the whole node — CAB, host, interface, runtime,
 // protocol stacks, and both of its fiber endpoints — is built on its
@@ -289,34 +242,14 @@ func (cl *Cluster) AddNode() *Node { return cl.AddNodeAt(0) }
 // on the node's shard, and the HUB output link back to the CAB runs there
 // too, so the only events that ever cross shards are HUB forwards (which
 // carry the setup latency, the coupling's lookahead).
-func (cl *Cluster) AddNodeAt(hubIdx int) *Node {
-	if cl.topo != nil {
-		panic("nectar: fabric clusters attach nodes at topology-defined points; use Node(i)")
-	}
-	port := cl.allocPort(hubIdx)
-	idx := len(cl.Nodes)
-	shard := 0
-	if cl.coupling != nil {
-		shard = cl.shardOf(idx)
-	}
-	cl.nodeShard = append(cl.nodeShard, int32(shard))
-	n := cl.bootNode(idx, hubIdx, port)
-	cl.recomputeRoutes()
-	return n
-}
-
-// bootNode builds and boots the full host/CAB pair for node index idx at
-// (hubIdx, port): hardware, fibers with their gateway role, runtime system
-// and protocol stacks. cl.nodeShard[idx] must already be set. Route
-// installation is the caller's job (eager all-pairs for hand-wired
-// clusters, per-peer at materialization for fabrics).
-func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
+func (cl *Cluster) bootNode(idx int) *Node {
 	id := wire.NodeID(len(cl.Nodes) + 1)
+	hubIdx, port := int(cl.topo.NodeHub[idx]), int(cl.topo.NodePort[idx])
 
 	k := cl.K
 	var dom *sim.Domain
 	if cl.coupling != nil {
-		dom = cl.domains[cl.nodeShard[idx]]
+		dom = cl.domains[cl.shard(idx)]
 		k = dom.Kernel()
 	}
 
@@ -374,48 +307,32 @@ func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
 			// Declared channel topology: this gateway only constrains the
 			// safe bound of domains holding one of the node's declared
 			// peers. With a flow-affinity partition that is no domain at
-			// all, and windows stretch to the scheduling horizon.
-			if cl.topo != nil {
-				// Fabric: the domains the *first* forward after this
-				// node's HUB can enter (same-HUB peers resolve to their
-				// shard, farther peers to the owner of the path's first
-				// trunk; later hops are covered by trunk gateways).
-				// Precomputed into a bitmap — the closure runs per
-				// (gateway, destination) in every window choose phase.
-				reach := cl.firstHopReach(idx)
-				up.SetReach(func(dstDom int) bool {
-					return dstDom >= 0 && dstDom < len(reach) && reach[dstDom]
-				})
-			} else {
-				up.SetReach(func(dstDom int) bool {
-					if idx >= len(cl.flowPeers) {
-						return false
-					}
-					for peer := range cl.flowPeers[idx] {
-						if peer < len(cl.nodeShard) && int(cl.nodeShard[peer]) == dstDom {
-							return true
-						}
-					}
-					return false
-				})
-			}
+			// all, and windows stretch to the scheduling horizon. The
+			// domains are those the *first* forward after this node's HUB
+			// can enter (same-HUB peers resolve to their shard, farther
+			// peers to the owner of the path's first trunk; later hops
+			// are covered by trunk gateways). Precomputed into a bitmap —
+			// the closure runs per (gateway, destination) in every window
+			// choose phase.
+			reach := cl.firstHopReach(idx)
+			up.SetReach(func(dstDom int) bool {
+				return dstDom >= 0 && dstDom < len(reach) && reach[dstDom]
+			})
 		}
 		dom.AddGateway(up)
 	}
-	if cl.topo != nil {
-		cl.uplinks[idx] = up
-	} else {
-		cl.uplinks = append(cl.uplinks, up)
-	}
+	cl.uplinks[idx] = up
 	if cl.flowPeers != nil {
-		// The declaration is enforced on every frame, sequential or
+		// The declaration is enforced on every send, sequential or
 		// sharded, so a violating workload fails identically in both
-		// modes instead of silently desynchronizing them. The destination
-		// comes from the frame's datalink header — on a fabric the first
-		// route byte names a trunk, not a node.
-		up.SetSendGuard(func(pkt *fiber.Packet) {
-			if dst, ok := cl.frameDst(pkt.Frame); ok && !cl.trafficAllowed(idx, dst) {
-				sim.Panicf("nectar: node %d sent a frame toward node %d, which Config.Flows does not declare", idx, dst)
+		// modes instead of silently desynchronizing them. Only declared
+		// peers get routes (materialize), so a send toward any other
+		// node misses the CAB's route table. Wire IDs number the
+		// materialized nodes from 1.
+		c.OnNoRoute(func(dst wire.NodeID) {
+			if dst >= 1 && int(dst) <= len(cl.Nodes) {
+				peer := slices.Index(cl.mat, cl.Nodes[dst-1])
+				sim.Panicf("nectar: node %d sent a frame toward node %d, which Config.Flows does not declare", idx, peer)
 			}
 		})
 	}
@@ -441,7 +358,6 @@ func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
 	n.Sockets = sockets.New(n.TCP, n.Mailboxes, n.IF, n.Syncs)
 
 	cl.Nodes = append(cl.Nodes, n)
-	cl.idToIdx[id] = int32(idx)
 	return n
 }
 
@@ -460,27 +376,11 @@ func crossFn(hb *hub.Hub, own *sim.Domain) func(out byte) (int, bool) {
 	}
 }
 
-// frameDst resolves a frame's datalink destination to a node index
-// (materialized nodes only; false for short frames or unknown IDs).
-func (cl *Cluster) frameDst(frame []byte) (int, bool) {
-	if len(frame) < wire.DatalinkHeaderLen {
-		return 0, false
-	}
-	id := wire.NodeID(uint16(frame[6])<<8 | uint16(frame[7]))
-	idx, ok := cl.idToIdx[id]
-	return int(idx), ok
-}
-
 // routes returns the cluster's shared route table, creating it on first
-// use over the fabric's closed-form router (Config.Topology) or a BFS over
-// the hand-wired hub links.
+// use over the topology's closed-form router.
 func (cl *Cluster) routes() *fabric.RouteTable {
 	if cl.routeTab == nil {
-		if cl.topo != nil {
-			cl.routeTab = fabric.NewRouteTable(cl.topo.HubPath)
-		} else {
-			cl.routeTab = fabric.NewRouteTable(cl.bfsHubPath)
-		}
+		cl.routeTab = fabric.NewRouteTable(cl.topo.HubPath)
 	}
 	return cl.routeTab
 }
@@ -492,63 +392,24 @@ func (cl *Cluster) RouteTableStats() (entries, bytes int) {
 	return cl.routes().Entries(), cl.routes().Bytes()
 }
 
-// recomputeRoutes rebuilds every CAB's source-route table for hand-wired
-// clusters. Entries are references into the shared route table, so nodes
-// on the same HUB pair share backing arrays. src == dst is loopback: the
-// crossbar routes the frame straight back down the sender's own port, so
-// node-local transport traffic needs no special casing in software.
-func (cl *Cluster) recomputeRoutes() {
-	rt := cl.routes()
-	for _, src := range cl.Nodes {
-		for _, dst := range cl.Nodes {
-			if route, ok := rt.Route(src.hubIdx, dst.hubIdx, dst.port); ok {
-				src.CAB.SetRoute(dst.ID, route)
-			}
-		}
+// shard returns node i's shard (0 when sequential), asking
+// Config.ShardOf on first use and remembering the answer.
+func (cl *Cluster) shard(i int) int32 {
+	if cl.coupling == nil {
+		return 0
 	}
-}
-
-// bfsHubPath returns the output-port bytes from HUB `from` to HUB `to`
-// over the hand-wired hub links (excluding any final attachment port).
-func (cl *Cluster) bfsHubPath(from, to int) ([]byte, bool) {
-	if from == to {
-		return nil, true
-	}
-	type hop struct {
-		hub  int
-		path []byte
-	}
-	visited := make([]bool, len(cl.Hubs))
-	visited[from] = true
-	queue := []hop{{from, nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range cl.hubLinks {
-			if l.fromHub != cur.hub || visited[l.toHub] {
-				continue
-			}
-			path := append(append([]byte(nil), cur.path...), byte(l.fromPort))
-			if l.toHub == to {
-				return path, true
-			}
-			visited[l.toHub] = true
-			queue = append(queue, hop{l.toHub, path})
-		}
-	}
-	return nil, false
-}
-
-// shardOf maps a node index to its shard.
-func (cl *Cluster) shardOf(nodeIdx int) int {
-	if cl.cfg.ShardOf != nil {
-		s := cl.cfg.ShardOf(nodeIdx)
-		if s < 0 || s >= cl.cfg.Shards {
-			sim.Panicf("nectar: ShardOf(%d) = %d out of range [0,%d)", nodeIdx, s, cl.cfg.Shards)
-		}
+	if s := cl.nodeShard[i]; s >= 0 {
 		return s
 	}
-	return nodeIdx % cl.cfg.Shards
+	s := i % cl.cfg.Shards
+	if cl.cfg.ShardOf != nil {
+		s = cl.cfg.ShardOf(i)
+		if s < 0 || s >= cl.cfg.Shards {
+			sim.Panicf("nectar: ShardOf(%d) = %d out of range [0,%d)", i, s, cl.cfg.Shards)
+		}
+	}
+	cl.nodeShard[i] = int32(s)
+	return int32(s)
 }
 
 // ShardByFlows builds a topology-aware Config.ShardOf assignment from the
@@ -674,18 +535,6 @@ func sortRootsBy(roots []int, locality func(root int) int) {
 	})
 }
 
-// trafficAllowed reports whether the declared traffic matrix permits
-// frames between nodes src and dst (always true when undeclared).
-func (cl *Cluster) trafficAllowed(src, dst int) bool {
-	if cl.flowPeers == nil || src == dst {
-		return true
-	}
-	if src >= len(cl.flowPeers) || cl.flowPeers[src] == nil {
-		return false
-	}
-	return cl.flowPeers[src][dst]
-}
-
 // Shards returns the number of execution shards (1 when sequential).
 func (cl *Cluster) Shards() int {
 	if cl.coupling == nil {
@@ -713,12 +562,7 @@ func (cl *Cluster) MultiWindows() uint64 {
 }
 
 // ShardOfNode returns the shard executing node i (0 when sequential).
-func (cl *Cluster) ShardOfNode(i int) int {
-	if cl.coupling == nil {
-		return 0
-	}
-	return int(cl.nodeShard[i])
-}
+func (cl *Cluster) ShardOfNode(i int) int { return int(cl.shard(i)) }
 
 // Kernels returns every simulation kernel of the cluster: one per shard,
 // or just K when sequential. Per-shard observability (trace sinks, wire

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nectar/internal/fabric"
 	"nectar/internal/nectarine"
 	"nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
@@ -33,17 +34,17 @@ func TestClusterRouting(t *testing.T) {
 }
 
 func TestMultiHubRouting(t *testing.T) {
-	cl := NewCluster(nil)
-	h2 := cl.AddHub()
-	cl.ConnectHubs(0, h2)
-	a := cl.AddNodeAt(0)
-	b := cl.AddNodeAt(h2)
+	cl := NewCluster(&Config{Topology: fabric.Chain(2, 16)})
+	a := cl.AddNode() // hub 0
+	b := cl.AddNode() // hub 1
 	route, ok := a.CAB.Route(b.ID)
 	if !ok {
 		t.Fatal("no inter-hub route")
 	}
-	if len(route) != 2 {
-		t.Fatalf("route len = %d, want 2 (one inter-hub hop + final port)", len(route))
+	// Hub 0 leaves for hub 1 by port 0; b is hub 1's first node, on the
+	// port after its trunk.
+	if !bytes.Equal(route, []byte{0, 1}) {
+		t.Fatalf("route = % x, want 00 01 (one inter-hub hop + final port)", route)
 	}
 	// And traffic actually flows.
 	done := false

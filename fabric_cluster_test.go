@@ -19,24 +19,32 @@ import (
 type fabricOpts struct {
 	shardOf func(nodeIdx int) int
 	declare bool
+	// topo is the fabric the workload runs on (nil: fabric.LeafSpine(4,
+	// 2, 2)).
+	topo *fabric.Topology
 }
 
-// runFabricWorkload drives a leaf-spine fabric — 4 leaves x 2 spines, 2
-// hosts per leaf — with three RMP flows that each cross two HUB tiers
-// (leaf -> spine -> leaf), under deterministic fault injection on every
-// uplink, and returns the canonicalized observability output. shards=1
-// runs the identical workload sequentially.
+// runFabricWorkload drives three RMP flows across a multi-HUB fabric under
+// deterministic fault injection on every uplink, and returns the
+// canonicalized observability output. On the default leaf-spine fabric —
+// 4 leaves x 2 spines, 2 hosts per leaf — every flow crosses two HUB
+// tiers (leaf -> spine -> leaf); on fabric.Chain(3, ...) flow 0->2 transits
+// the middle HUB, 4->6 crosses one trunk and 1->7 stays on one HUB.
+// shards=1 runs the identical workload sequentially.
 func runFabricWorkload(t *testing.T, shards int, seed uint64, opts ...fabricOpts) shardedWorkloadResult {
 	t.Helper()
 	var opt fabricOpts
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
-	// Leaves hold nodes {0,1} {2,3} {4,5} {6,7}; every flow spans leaves.
+	if opt.topo == nil {
+		// Leaves hold nodes {0,1} {2,3} {4,5} {6,7}; every flow spans leaves.
+		opt.topo = fabric.LeafSpine(4, 2, 2)
+	}
 	flows := [][2]int{{0, 2}, {4, 6}, {1, 7}}
 	endpoints := []int{0, 1, 2, 4, 6, 7}
 
-	cfg := &Config{Topology: fabric.LeafSpine(4, 2, 2)}
+	cfg := &Config{Topology: opt.topo}
 	if shards > 1 {
 		cfg.Shards = shards
 		cfg.ShardOf = opt.shardOf
@@ -117,10 +125,16 @@ func runFabricWorkload(t *testing.T, shards int, seed uint64, opts ...fabricOpts
 		}
 	}
 
-	// Every flow spans leaves, so the spine crossbars (hubs 4 and 5 of a
-	// 4-leaf topology) must have forwarded; frames crossed >= 2 HUB tiers.
-	if cl.Hubs[4].Forwarded()+cl.Hubs[5].Forwarded() == 0 {
-		t.Fatalf("no spine forwards: flows did not cross HUB tiers (shards=%d)", shards)
+	// Some flow crosses two trunks (leaf -> spine -> leaf, or hub 0 ->
+	// hub 1 -> hub 2), so at least two trunks must have carried frames.
+	used := 0
+	for ti := range opt.topo.Trunks {
+		if sent, _, _, _ := cl.TrunkLink(ti).Stats(); sent > 0 {
+			used++
+		}
+	}
+	if used < 2 {
+		t.Fatalf("%d trunks carried frames: flows did not cross HUBs (%s, shards=%d)", used, opt.topo.Name, shards)
 	}
 
 	streams := make([][]obs.Event, len(recs))
@@ -134,33 +148,43 @@ func runFabricWorkload(t *testing.T, shards int, seed uint64, opts ...fabricOpts
 	}
 }
 
-// TestMultiHubSharded is the fabric tentpole's contract: frames crossing
-// two HUB tiers (leaf -> spine -> leaf) under 2-, 4- and 8-shard
-// partitions produce trace, capture and metric output byte-identical to
-// the sequential run, with the communication graph declared (trunk
-// ownership and reach planning active) across fault seeds.
+// TestMultiHubSharded is the fabric contract: frames crossing two HUB
+// tiers (leaf -> spine -> leaf) under 2-, 4- and 8-shard partitions, and
+// frames crossing a chain of three HUBs under 2 and 4 shards, produce
+// trace, capture and metric output byte-identical to the sequential run,
+// with the communication graph declared (trunk ownership and reach
+// planning active) across fault seeds.
 func TestMultiHubSharded(t *testing.T) {
-	for _, shards := range []int{2, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			for _, seed := range []uint64{1, 12345} {
-				seq := runFabricWorkload(t, 1, seed, fabricOpts{declare: true})
-				shd := runFabricWorkload(t, shards, seed, fabricOpts{declare: true})
-				if seq.trace == "" || seq.capture == "" {
-					t.Fatal("sequential run produced no observability output")
+	for _, c := range []struct {
+		prefix string
+		topo   *fabric.Topology
+		shards []int
+	}{
+		{"", fabric.LeafSpine(4, 2, 2), []int{2, 4, 8}},
+		{"chain3/", fabric.Chain(3, 16), []int{2, 4}},
+	} {
+		for _, shards := range c.shards {
+			c, shards := c, shards
+			t.Run(fmt.Sprintf("%sshards=%d", c.prefix, shards), func(t *testing.T) {
+				for _, seed := range []uint64{1, 12345} {
+					seq := runFabricWorkload(t, 1, seed, fabricOpts{declare: true, topo: c.topo})
+					shd := runFabricWorkload(t, shards, seed, fabricOpts{declare: true, topo: c.topo})
+					if seq.trace == "" || seq.capture == "" {
+						t.Fatal("sequential run produced no observability output")
+					}
+					if shd.trace != seq.trace {
+						t.Errorf("seed=%d: trace differs from sequential; first divergence:\nseq: %s\nshd: %s",
+							seed, firstDiffLine(seq.trace, shd.trace), firstDiffLine(shd.trace, seq.trace))
+					}
+					if shd.capture != seq.capture {
+						t.Errorf("seed=%d: capture differs from sequential", seed)
+					}
+					if !bytes.Equal(shd.metrics, seq.metrics) {
+						t.Errorf("seed=%d: metrics snapshot differs from sequential", seed)
+					}
 				}
-				if shd.trace != seq.trace {
-					t.Errorf("seed=%d: trace differs from sequential; first divergence:\nseq: %s\nshd: %s",
-						seed, firstDiffLine(seq.trace, shd.trace), firstDiffLine(shd.trace, seq.trace))
-				}
-				if shd.capture != seq.capture {
-					t.Errorf("seed=%d: capture differs from sequential", seed)
-				}
-				if !bytes.Equal(shd.metrics, seq.metrics) {
-					t.Errorf("seed=%d: metrics snapshot differs from sequential", seed)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -277,26 +301,26 @@ func TestFabricCompactNodes(t *testing.T) {
 	}
 }
 
-// TestFabricHandWiringUnavailable pins the API contract: fabric clusters
-// define their wiring from data, so the hand-wiring surface panics.
-func TestFabricHandWiringUnavailable(t *testing.T) {
-	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 2)})
-	for name, fn := range map[string]func(){
-		"AddHub":      func() { cl.AddHub() },
-		"ConnectHubs": func() { cl.ConnectHubs(0, 1) },
-		"AddNode":     func() { cl.AddNode() },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil {
-					t.Errorf("%s did not panic on a fabric cluster", name)
-				} else if !strings.Contains(fmt.Sprint(r), "Topology") && !strings.Contains(fmt.Sprint(r), "Node(i)") {
-					t.Errorf("%s: wrong panic: %v", name, r)
-				}
-			}()
-			fn()
-		}()
+// TestAddNodeOnFabric: AddNode materializes the lowest attachment point
+// not yet materialized, skipping points Node(i) already booted, and
+// panics once every point is in use.
+func TestAddNodeOnFabric(t *testing.T) {
+	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 2)}) // 4 points
+	b := cl.Node(1)
+	for _, want := range []int{0, 2, 3} {
+		if n := cl.AddNode(); n != cl.Node(want) {
+			t.Fatalf("AddNode did not materialize attachment point %d", want)
+		}
 	}
+	if cl.Node(1) != b || cl.MaterializedNodes() != 4 {
+		t.Fatalf("MaterializedNodes = %d, want 4", cl.MaterializedNodes())
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "attachment points") {
+			t.Errorf("AddNode on a full fabric: panic %v", r)
+		}
+	}()
+	cl.AddNode()
 }
 
 // TestShardByFlowsOnFabric: components sharing a leaf crossbar cluster

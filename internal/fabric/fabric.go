@@ -1,10 +1,9 @@
-// Package fabric builds datacenter-scale HUB topologies as data: a
-// Topology names every crossbar, every trunk fiber between crossbars, and
-// every node attachment point, and computes hierarchical source routes in
-// closed form. The cluster builder consumes a Topology instead of
-// hand-wiring AddHub/ConnectHubs calls, which is what lets experiments
-// scale from the paper's handful of nodes to fat-tree fabrics with tens of
-// thousands of attachment points.
+// Package fabric describes HUB installations as data: a Topology names
+// every crossbar, every trunk fiber between crossbars, and every node
+// attachment point, and computes source routes in closed form. Every
+// cluster is built from a Topology — from the paper's single crossbar
+// (Star) and the HUB chains of §2.1 (Chain) to datacenter-scale leaf-spine
+// and fat-tree fabrics with tens of thousands of attachment points.
 //
 // Route port numbers ride in single bytes on the wire (the HUB consumes
 // one route byte per hop, paper §2.1), so every crossbar is limited to 256
@@ -35,7 +34,9 @@ type Trunk struct {
 type kind int
 
 const (
-	kindLeafSpine kind = iota
+	kindStar kind = iota
+	kindChain
+	kindLeafSpine
 	kindFatTree
 )
 
@@ -65,6 +66,71 @@ type Topology struct {
 	// trunkAt[hub][port] is the index into Trunks of the trunk leaving
 	// hub at port, or -1. Built once by ensureIndex.
 	trunkAt [][]int32
+}
+
+// Star builds the single-crossbar installation: one HUB of `ports` ports
+// with attachment point i on port i.
+func Star(ports int) *Topology {
+	if ports < 1 || ports > 256 {
+		sim.Panicf("fabric: Star needs 1..256 ports (route bytes), got %d", ports)
+	}
+	t := &Topology{Name: fmt.Sprintf("star %d", ports), kind: kindStar, HubPorts: []int{ports}}
+	t.NodeHub = make([]int32, ports)
+	t.NodePort = make([]int32, ports)
+	for i := range t.NodePort {
+		t.NodePort[i] = int32(i)
+	}
+	return t
+}
+
+// Chain builds `hubs` crossbars of `ports` ports joined in a line by fiber
+// pairs (paper §2.1). The wiring joins hub h-1 to hub h for h = 1, 2, ...,
+// each joint taking the next free port on both sides, so hub 0 leaves
+// rightward by port 0 and every other hub leaves leftward by port 0 and
+// rightward by port 1. Attachment point i sits on hub i % hubs at that
+// hub's next free port; the points stop at the first one that no longer
+// fits. Chain(1, p) is Star(p).
+func Chain(hubs, ports int) *Topology {
+	if hubs < 1 {
+		panic("fabric: Chain needs at least one hub")
+	}
+	if hubs == 1 {
+		return Star(ports)
+	}
+	if ports < 2 || ports > 256 {
+		sim.Panicf("fabric: Chain needs 2..256 ports per hub (trunks; route bytes), got %d", ports)
+	}
+	t := &Topology{Name: fmt.Sprintf("chain %dx%d", hubs, ports), kind: kindChain}
+	t.HubPorts = make([]int, hubs)
+	for h := range t.HubPorts {
+		t.HubPorts[h] = ports
+	}
+	for h := 1; h < hubs; h++ {
+		t.Trunks = append(t.Trunks,
+			Trunk{FromHub: h - 1, FromPort: chainRight(h - 1), ToHub: h, ToPort: 0},
+			Trunk{FromHub: h, FromPort: 0, ToHub: h - 1, ToPort: chainRight(h - 1)})
+	}
+	for i := 0; ; i++ {
+		h := i % hubs
+		port := 2 + i/hubs // after the hub's two trunk ports...
+		if h == 0 || h == hubs-1 {
+			port-- // ...or its one, at an end of the chain
+		}
+		if port >= ports {
+			break
+		}
+		t.NodeHub = append(t.NodeHub, int32(h))
+		t.NodePort = append(t.NodePort, int32(port))
+	}
+	return t
+}
+
+// chainRight is the port by which chain hub h leaves toward hub h+1.
+func chainRight(h int) int {
+	if h == 0 {
+		return 0
+	}
+	return 1
 }
 
 // LeafSpine builds a two-tier Clos fabric: `leaves` edge crossbars each
@@ -176,13 +242,16 @@ func (t *Topology) Hubs() int { return len(t.HubPorts) }
 // NodeCount returns the number of attachment points.
 func (t *Topology) NodeCount() int { return len(t.NodeHub) }
 
-// Tiers returns the number of switching tiers (2 for leaf-spine, 3 for
-// fat-tree).
+// Tiers returns the number of switching tiers (1 for a star or chain,
+// whose crossbars all attach nodes; 2 for leaf-spine, 3 for fat-tree).
 func (t *Topology) Tiers() int {
-	if t.kind == kindFatTree {
+	switch t.kind {
+	case kindLeafSpine:
+		return 2
+	case kindFatTree:
 		return 3
 	}
-	return 2
+	return 1
 }
 
 // HubPath returns the output-port bytes that carry a packet from crossbar
@@ -197,6 +266,17 @@ func (t *Topology) HubPath(src, dst int) ([]byte, bool) {
 		return nil, true
 	}
 	switch t.kind {
+	case kindChain:
+		// The only path: |dst-src| hops, leaving every hub by its trunk
+		// toward dst.
+		path := make([]byte, 0, max(dst-src, src-dst))
+		for h := src; h < dst; h++ {
+			path = append(path, byte(chainRight(h)))
+		}
+		for h := src; h > dst; h-- {
+			path = append(path, 0)
+		}
+		return path, true
 	case kindLeafSpine:
 		// Only leaf-to-leaf paths exist for node traffic; spreading over
 		// spines by the leaf pair keeps the choice deterministic.

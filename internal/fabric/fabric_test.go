@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -48,9 +49,93 @@ func TestFatTreeShape(t *testing.T) {
 	}
 }
 
+func TestStarShape(t *testing.T) {
+	topo := Star(16)
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if topo.Hubs() != 1 || topo.NodeCount() != 16 || len(topo.Trunks) != 0 || topo.Tiers() != 1 {
+		t.Fatalf("star: %d hubs, %d nodes, %d trunks, %d tiers; want 1, 16, 0, 1",
+			topo.Hubs(), topo.NodeCount(), len(topo.Trunks), topo.Tiers())
+	}
+	for i := range topo.NodeHub {
+		if topo.NodeHub[i] != 0 || topo.NodePort[i] != int32(i) {
+			t.Fatalf("node %d at (%d,%d), want (0,%d)", i, topo.NodeHub[i], topo.NodePort[i], i)
+		}
+	}
+	if !reflect.DeepEqual(Chain(1, 16), topo) {
+		t.Fatal("Chain(1, 16) is not Star(16)")
+	}
+}
+
+// The chain's port layout is the one joining hub h-1 to hub h in order
+// gives, taking the next free port on both sides, with nodes dealt round
+// robin over the hubs onto the next free port after that.
+func TestChainShape(t *testing.T) {
+	topo := Chain(3, 16)
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Trunk{
+		{FromHub: 0, FromPort: 0, ToHub: 1, ToPort: 0},
+		{FromHub: 1, FromPort: 0, ToHub: 0, ToPort: 0},
+		{FromHub: 1, FromPort: 1, ToHub: 2, ToPort: 0},
+		{FromHub: 2, FromPort: 0, ToHub: 1, ToPort: 1},
+	}
+	if !reflect.DeepEqual(topo.Trunks, want) {
+		t.Fatalf("trunks = %+v, want %+v", topo.Trunks, want)
+	}
+	// 15 + 14 + 15 free ports, dealt round robin: the middle hub runs out
+	// first, at node 43.
+	if topo.NodeCount() != 43 || topo.Tiers() != 1 {
+		t.Fatalf("nodes = %d, tiers = %d; want 43, 1", topo.NodeCount(), topo.Tiers())
+	}
+	for i, at := range [][2]int32{{0, 1}, {1, 2}, {2, 1}, {0, 2}, {1, 3}, {2, 2}} {
+		if topo.NodeHub[i] != at[0] || topo.NodePort[i] != at[1] {
+			t.Fatalf("node %d at (%d,%d), want %v", i, topo.NodeHub[i], topo.NodePort[i], at)
+		}
+	}
+	for _, c := range []struct {
+		src, dst int
+		path     []byte
+	}{
+		{0, 2, []byte{0, 1}}, {2, 0, []byte{0, 0}}, {1, 2, []byte{1}}, {1, 0, []byte{0}}, {1, 1, nil},
+	} {
+		if got, ok := topo.HubPath(c.src, c.dst); !ok || !bytes.Equal(got, c.path) {
+			t.Errorf("HubPath(%d,%d) = % x,%v want % x", c.src, c.dst, got, ok, c.path)
+		}
+	}
+}
+
+// Following any route hop by hop over the trunks must land on the
+// destination's crossbar, for every hub pair of every builder.
+func TestHubPathsFollowTrunks(t *testing.T) {
+	for _, topo := range []*Topology{Star(4), Chain(2, 16), Chain(5, 8), LeafSpine(3, 2, 2), FatTree(4)} {
+		for src := 0; src < topo.NodeCount(); src++ {
+			for dst := 0; dst < topo.NodeCount(); dst++ {
+				at, to := int(topo.NodeHub[src]), int(topo.NodeHub[dst])
+				path, ok := topo.HubPath(at, to)
+				if !ok {
+					t.Fatalf("%s: no path %d -> %d", topo.Name, src, dst)
+				}
+				for _, p := range path {
+					ti, ok := topo.TrunkIndex(at, int(p))
+					if !ok {
+						t.Fatalf("%s: route byte %d at hub %d names no trunk", topo.Name, p, at)
+					}
+					at = topo.Trunks[ti].ToHub
+				}
+				if at != to {
+					t.Fatalf("%s: route %d -> %d ends at hub %d, want %d", topo.Name, src, dst, at, to)
+				}
+			}
+		}
+	}
+}
+
 // Every trunk must have its reverse direction present with mirrored ports.
 func TestTrunksAreSymmetric(t *testing.T) {
-	for _, topo := range []*Topology{LeafSpine(4, 2, 16), FatTree(4), FatTree(8)} {
+	for _, topo := range []*Topology{LeafSpine(4, 2, 16), FatTree(4), FatTree(8), Chain(4, 16)} {
 		have := make(map[Trunk]bool, len(topo.Trunks))
 		for _, tr := range topo.Trunks {
 			have[tr] = true
@@ -192,6 +277,8 @@ func TestBuilderLimits(t *testing.T) {
 	mustPanic("spine ports", func() { LeafSpine(300, 2, 4) })
 	mustPanic("odd arity", func() { FatTree(5) })
 	mustPanic("arity limit", func() { FatTree(258) })
+	mustPanic("star ports", func() { Star(257) })
+	mustPanic("empty chain", func() { Chain(0, 16) })
 }
 
 func TestTrunkIndex(t *testing.T) {

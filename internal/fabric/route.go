@@ -20,7 +20,7 @@ type RouteTable struct {
 }
 
 // NewRouteTable creates a route table over the given hub-to-hub path
-// function (a Topology's HubPath, or a BFS over hand-wired hub links).
+// function (a Topology's HubPath).
 // path must return the output-port bytes excluding the final attachment
 // port, and must be deterministic.
 func NewRouteTable(path func(srcHub, dstHub int) ([]byte, bool)) *RouteTable {
@@ -45,13 +45,6 @@ func (rt *RouteTable) Route(srcHub, dstHub, dstPort int) ([]byte, bool) {
 	rt.entries[key] = r
 	rt.bytes += len(r)
 	return r, true
-}
-
-// Reset drops every cached route (hand-wired clusters call it when the hub
-// graph changes).
-func (rt *RouteTable) Reset() {
-	rt.entries = make(map[uint64][]byte)
-	rt.bytes = 0
 }
 
 // Entries returns the number of distinct route strings in the table.

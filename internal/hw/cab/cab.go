@@ -85,6 +85,7 @@ type CAB struct {
 
 	rxHandler   func(t *threads.Thread, d *RxDesc) // start-of-packet, interrupt context
 	hostVector  func(t *threads.Thread)            // doorbell from host, interrupt context
+	noRoute     func(dst wire.NodeID)              // Transmit found no route to dst
 	toHost      func()                             // raises the host's CAB interrupt
 	rxInterrupt bool                               // deliver rx as interrupt (true) or via polling thread (ablation A1)
 
@@ -177,6 +178,13 @@ func (c *CAB) Route(dst wire.NodeID) ([]byte, bool) {
 	return r, ok
 }
 
+// OnNoRoute registers a check run when Transmit finds no route to dst,
+// before it fails with an error. Clusters with a declared traffic matrix
+// install routes to declared peers only, and use it to panic
+// deterministically on a send to any other node — the declaration is a
+// contract, and a silent violation would make the sharded bounds unsound.
+func (c *CAB) OnNoRoute(fn func(dst wire.NodeID)) { c.noRoute = fn }
+
 // OnReceive registers the datalink receive handler, invoked in interrupt
 // context when a frame's header has arrived (start-of-packet interrupt).
 func (c *CAB) OnReceive(fn func(t *threads.Thread, d *RxDesc)) { c.rxHandler = fn }
@@ -264,6 +272,9 @@ func (c *CAB) Transmit(dst wire.NodeID, hdr wire.DatalinkHeader, circuit bool, p
 	}
 	route, ok := c.routes[dst]
 	if !ok {
+		if c.noRoute != nil {
+			c.noRoute(dst)
+		}
 		return fmt.Errorf("cab%d: no route to node %d", c.node, dst)
 	}
 	n := 0

@@ -85,7 +85,6 @@ type Link struct {
 	gwCross   func(port byte) (dst int, cross bool)
 	gwTxFloor func(actFloor sim.Time) sim.Time
 	gwReach   func(dst int) bool
-	gwGuard   func(pkt *Packet)
 	gwPending []gwFrame
 
 	// Fault injection.
@@ -133,9 +132,6 @@ func (l *Link) Send(pkt *Packet) { l.SendAt(pkt, l.k.Now()) }
 //
 //nectar:takes-ownership pkt released on the drop path, otherwise handed to the receiving endpoint
 func (l *Link) SendAt(pkt *Packet, t sim.Time) {
-	if l.gwGuard != nil {
-		l.gwGuard(pkt)
-	}
 	if t < l.k.Now() {
 		t = l.k.Now()
 	}
@@ -234,16 +230,6 @@ func (l *Link) SetTxFloor(fn func(actFloor sim.Time) sim.Time) { l.gwTxFloor = f
 // well-partitioned cluster run whole horizons per window. Pass nil to
 // clear (every destination reachable — the conservative default).
 func (l *Link) SetReach(fn func(dst int) bool) { l.gwReach = fn }
-
-// SetSendGuard installs a check run on every packet presented for
-// transmission (before fault injection). Clusters with a declared traffic
-// matrix use it to panic deterministically on a frame to an undeclared
-// destination — the declaration is a contract, and a silent violation
-// would make the sharded bounds unsound. The guard sees the whole packet:
-// on multi-hop fabrics the first route byte names a trunk, not the
-// destination, so guards resolve the destination from the frame's
-// datalink header instead. Pass nil to clear.
-func (l *Link) SetSendGuard(fn func(pkt *Packet)) { l.gwGuard = fn }
 
 // EarliestOutputTo implements sim.Gateway: a lower bound on the timestamp
 // of any future forward from this link into domain dst, given actFloor —

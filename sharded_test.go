@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nectar/internal/fabric"
 	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -344,25 +345,29 @@ func TestShardedDeclaredFlows(t *testing.T) {
 // the uplink guard panics when the first frame is emitted, which the
 // proc runtime converts into a kernel-fatal error returned by RunFor.
 // Enforced in sequential mode too, so a bad declaration can never
-// silently desync a sharded run.
+// silently desync a sharded run, and on every topology: on one HUB and
+// across a leaf-spine fabric's trunks alike.
 func TestDeclaredFlowViolationPanics(t *testing.T) {
-	cl := NewCluster(&Config{Flows: [][2]int{{0, 1}}})
-	nodes := []*Node{cl.AddNode(), cl.AddNode(), cl.AddNode()}
-	sink := nodes[2].Mailboxes.Create("undeclared.sink")
-	addr := wire.MailboxAddr{Node: nodes[2].ID, Box: sink.ID()}
-	nodes[0].CAB.Sched.Fork("violate", threads.SystemPriority, func(th *threads.Thread) {
-		// 0 -> 2 is not declared: the send guard fires when the first
-		// frame hits the uplink.
-		nodes[0].Transports.RMP.SendBlocking(exec.OnCAB(th), addr, 0, []byte("x"))
-	})
-	err := cl.RunFor(sim.Second)
-	if err == nil {
-		t.Fatal("undeclared 0->2 traffic did not fail the run")
-	}
-	if !strings.Contains(err.Error(), "Config.Flows does not declare") {
-		t.Errorf("wrong failure: %v", err)
+	for _, topo := range []*fabric.Topology{nil, fabric.LeafSpine(2, 1, 2)} {
+		cl := NewCluster(&Config{Topology: topo, Flows: [][2]int{{0, 1}}})
+		nodes := []*Node{cl.AddNode(), cl.AddNode(), cl.AddNode()}
+		sink := nodes[2].Mailboxes.Create("undeclared.sink")
+		addr := wire.MailboxAddr{Node: nodes[2].ID, Box: sink.ID()}
+		nodes[0].CAB.Sched.Fork("violate", threads.SystemPriority, func(th *threads.Thread) {
+			// 0 -> 2 is not declared, so node 0 has no route to node 2:
+			// the first frame fails the CAB's route lookup.
+			nodes[0].Transports.RMP.SendBlocking(exec.OnCAB(th), addr, 0, []byte("x"))
+		})
+		err := cl.RunFor(sim.Second)
+		if err == nil {
+			t.Fatalf("%s: undeclared 0->2 traffic did not fail the run", cl.Topology().Name)
+		}
+		if !strings.Contains(err.Error(), "node 0 sent a frame toward node 2, which Config.Flows does not declare") {
+			t.Errorf("%s: wrong failure: %v", cl.Topology().Name, err)
+		}
 	}
 }
+
 // flow-co-locating, load-balanced.
 func TestShardByFlows(t *testing.T) {
 	flows := [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}

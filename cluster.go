@@ -668,6 +668,16 @@ func (cl *Cluster) RunFor(d sim.Duration) error {
 	return cl.K.RunFor(d)
 }
 
+// Close releases the goroutines behind the cluster's threads and
+// processes: Kernel.Close on every shard kernel stops each one still
+// parked and each idle coroutine. Results, nodes and MetricsSnapshot stay
+// readable; the cluster must not run again.
+func (cl *Cluster) Close() {
+	for _, k := range cl.Kernels() {
+		k.Close()
+	}
+}
+
 // Now returns the current virtual time.
 func (cl *Cluster) Now() sim.Time {
 	if cl.coupling != nil {

@@ -29,6 +29,9 @@ import (
 //     boxing a concrete value into an interface escapes it.
 //   - capturing closures: a func literal referencing variables from the
 //     enclosing function allocates the closure (and often the captures).
+//   - string concatenation (+ or +=) with a non-constant operand: it
+//     builds a new string every call, as "waiting:"+name once did on
+//     every Proc.Wait.
 //
 // The rules themselves live in hotChecker/checkHotBody so that hotprop
 // (the interprocedural extension) can apply the identical audit to every
@@ -36,8 +39,9 @@ import (
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc: "for functions annotated //nectar:hotpath, report obvious allocation sources: fmt.Sprintf/Tracef-style " +
-		"calls, append to a local slice declared without capacity, value-to-interface conversions, and capturing " +
-		"closures. Also validates that //nectar:hotpath annotates a function declaration.",
+		"calls, append to a local slice declared without capacity, value-to-interface conversions, capturing " +
+		"closures, and string concatenation with a non-constant operand. Also validates that //nectar:hotpath " +
+		"annotates a function declaration.",
 	Run: runHotpath,
 }
 
@@ -129,6 +133,11 @@ func checkHotBody(hc *hotChecker, captureSpan span, recv *ast.FieldList, typ *as
 			hc.checkCall(n, presized)
 		case *ast.AssignStmt:
 			hc.checkAssign(n)
+		case *ast.BinaryExpr:
+			if hc.isConcat(n) {
+				hc.report(n.Pos(), concatMsg)
+				return false // one report per concatenation chain
+			}
 		case *ast.FuncLit:
 			hc.checkCapture(captureSpan, n)
 		}
@@ -185,10 +194,34 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, presized map[types.Object]bo
 	}
 }
 
+const concatMsg = "string concatenation with a non-constant operand allocates; " +
+	"precompute the string or keep its parts and join them only where they are printed"
+
+// isConcat reports whether e is a string concatenation whose value is
+// not a compile-time constant.
+func (hc *hotChecker) isConcat(e *ast.BinaryExpr) bool {
+	tv := hc.info.Types[e]
+	return e.Op == token.ADD && tv.Value == nil && isString(tv.Type)
+}
+
+func isString(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
 // checkAssign reports assignments that box a concrete value into an
-// interface-typed variable or field.
+// interface-typed variable or field, and string += appends.
 func (hc *hotChecker) checkAssign(as *ast.AssignStmt) {
 	info := hc.info
+	if as.Tok == token.ADD_ASSIGN {
+		if isString(info.Types[as.Lhs[0]].Type) {
+			hc.report(as.Pos(), concatMsg)
+		}
+		return
+	}
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}

@@ -2,20 +2,23 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"path/filepath"
 	"strings"
 )
 
-// rawgoApproved lists the only non-test files allowed to contain go
-// statements. The conservative safe-window scheduler's determinism proof
-// rests on exactly one goroutine executing simulation state per kernel;
-// every goroutine in the tree must therefore be one of the audited
-// handoff structures:
+// rawgoApproved lists the only non-test files allowed to start
+// goroutines: go statements, and iter.Pull/iter.Pull2 calls, whose
+// coroutines run on goroutines of their own. The conservative
+// safe-window scheduler's determinism proof rests on exactly one
+// goroutine executing simulation state per kernel; every goroutine in the
+// tree must therefore be one of the audited handoff structures:
 //
 //   - internal/sim/pdes.go      — the PDES domain workers, synchronized
 //     by the winSeq/doneSeq window barrier.
-//   - internal/sim/proc.go      — the kernel's Proc coroutines, run one
-//     at a time via the resume/handoff channel pair (SimPy-style).
+//   - internal/sim/proc.go      — the kernel's Proc coroutines
+//     (iter.Pull): the kernel loop runs one at a time through the
+//     coroutine's next, and it runs until it yields (SimPy-style).
 //   - internal/bench/parallel.go — the sweep worker pool; each job owns
 //     a private kernel, results assemble in job-index order.
 //
@@ -29,11 +32,13 @@ var rawgoApproved = []string{
 	"internal/bench/parallel.go",
 }
 
-// Rawgo flags go statements outside the approved concurrency surfaces.
+// Rawgo flags go statements and iter.Pull/iter.Pull2 calls outside the
+// approved concurrency surfaces.
 var Rawgo = &Analyzer{
 	Name: "rawgo",
-	Doc: "flag go statements outside the approved concurrency surfaces (internal/sim/pdes.go, internal/sim/proc.go, " +
-		"internal/bench/parallel.go) and test files; stray goroutines break the conservative scheduler's determinism proof.",
+	Doc: "flag go statements and iter.Pull/iter.Pull2 calls outside the approved concurrency surfaces " +
+		"(internal/sim/pdes.go, internal/sim/proc.go, internal/bench/parallel.go) and test files; stray goroutines " +
+		"break the conservative scheduler's determinism proof.",
 	Run: runRawgo,
 }
 
@@ -56,14 +61,46 @@ func runRawgo(pass *Pass) (any, error) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(),
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(),
 					"go statement outside the approved concurrency surfaces (%s): "+
 						"stray goroutines break the conservative safe-window scheduler's determinism proof",
 					strings.Join(rawgoApproved, ", "))
+			case *ast.CallExpr:
+				if name := iterPullCall(pass, n); name != "" {
+					pass.Reportf(n.Pos(),
+						"iter.%s starts a coroutine goroutine outside the approved concurrency surfaces (%s): "+
+							"stray goroutines break the conservative safe-window scheduler's determinism proof",
+						name, strings.Join(rawgoApproved, ", "))
+				}
 			}
 			return true
 		})
 	}
 	return nil, nil
+}
+
+// iterPullCall returns "Pull" or "Pull2" if call calls that function of
+// package iter (explicitly instantiated or not), else "".
+func iterPullCall(pass *Pass, call *ast.CallExpr) string {
+	fun := call.Fun
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "iter" {
+		return ""
+	}
+	if name := fn.Name(); name == "Pull" || name == "Pull2" {
+		return name
+	}
+	return ""
 }

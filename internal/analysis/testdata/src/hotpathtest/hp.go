@@ -70,6 +70,38 @@ func capture(n int) func() int {
 	return func() int { return n } // want `closure captures "n"`
 }
 
+// label builds a string from a variable part every call.
+//
+//nectar:hotpath
+func label(name string) string {
+	return "waiting:" + name // want `string concatenation with a non-constant operand allocates`
+}
+
+// chain is one report per concatenation chain, not one per +.
+//
+//nectar:hotpath
+func chain(a, b string) string {
+	return a + "/" + b // want `string concatenation with a non-constant operand allocates`
+}
+
+// appendTo grows a string with +=.
+//
+//nectar:hotpath
+func appendTo(s, suffix string) string {
+	s += suffix // want `string concatenation with a non-constant operand allocates`
+	return s
+}
+
+const prefix = "wake:"
+
+// constant concatenations fold at compile time; sums of numbers are
+// not concatenations.
+//
+//nectar:hotpath
+func folded(n int) (string, int) {
+	return prefix + "x" + "y", n + 1
+}
+
 // clean is the approved shape: pre-sized locals, caller-owned slices,
 // precomputed marks, panic-only formatting.
 //

@@ -55,6 +55,7 @@ func AblateIPMode(cost *model.CostModel) (*AblateIPModeResult, error) {
 
 func rttDatagramMode(cost *model.CostModel, rxThread bool) (sim.Duration, error) {
 	cl, a, b := newCluster(cost, rxThread)
+	defer cl.Close()
 	h := &echoHarness{cl: cl}
 	boxA := a.Mailboxes.Create("reply")
 	boxB := b.Mailboxes.Create("service")
@@ -83,6 +84,7 @@ func rttDatagramMode(cost *model.CostModel, rxThread bool) (sim.Duration, error)
 
 func rmpThroughputCABMode(cost *model.CostModel, size int, rxThread bool) (float64, error) {
 	cl, a, b := newCluster(cost, rxThread)
+	defer cl.Close()
 	n := messagesFor(size)
 	box := b.Mailboxes.Create("sink")
 	box.SetCapacity(1 << 20)
@@ -136,6 +138,7 @@ func AblateUpcall(cost *model.CostModel) (*AblateUpcallResult, error) {
 	const rounds = 100
 	run := func(upcall bool) (sim.Duration, error) {
 		cl := nectar.NewCluster(&nectar.Config{Cost: cost})
+		defer cl.Close()
 		n := cl.AddNode()
 		reqBox := n.Mailboxes.Create("svc.req")
 		repBox := n.Mailboxes.Create("svc.rep")
@@ -287,6 +290,7 @@ func AblateMailboxImpl(cost *model.CostModel) (*AblateMailboxImplResult, error) 
 	const rounds = 100
 	run := func(rpc bool) (sim.Duration, error) {
 		cl := nectar.NewCluster(&nectar.Config{Cost: cost})
+		defer cl.Close()
 		n := cl.AddNode()
 		box := n.Mailboxes.Create("bench")
 		box.SetHostRPC(rpc)
@@ -344,6 +348,7 @@ type AblateRMPWindowResult struct {
 func AblateRMPWindow(cost *model.CostModel) (*AblateRMPWindowResult, error) {
 	run := func(window int) (float64, error) {
 		cl, a, b := newCluster(cost, false)
+		defer cl.Close()
 		a.Transports.RMP.SetWindow(window)
 		const size = 1024
 		n := messagesFor(size)
@@ -413,6 +418,7 @@ type AblateAppLoadResult struct {
 func AblateAppLoad(cost *model.CostModel) (*AblateAppLoadResult, error) {
 	run := func(loaded bool) (sim.Duration, error) {
 		cl, a, b := newCluster(cost, false)
+		defer cl.Close()
 		if loaded {
 			hog := func(t *threads.Thread) {
 				for {

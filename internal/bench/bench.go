@@ -39,7 +39,7 @@ func SetExperimentShards(n int) {
 func ExperimentShards() int { return experimentShards }
 
 // newCluster builds a two-node cluster with the given cost model (nil =
-// the paper's defaults).
+// the paper's defaults). Callers Close it once its results are read.
 func newCluster(cost *model.CostModel, rxThread bool) (*nectar.Cluster, *nectar.Node, *nectar.Node) {
 	cl := nectar.NewCluster(&nectar.Config{Cost: cost, RxThreadMode: rxThread, Shards: experimentShards})
 	a := cl.AddNode()

@@ -116,6 +116,7 @@ func Fig6(cost *model.CostModel) (*Fig6Result, error) {
 		cost = model.Default1990()
 	}
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	marks := traceMarks(cl)
 
 	boxB := b.Mailboxes.Create("sink")

@@ -103,6 +103,7 @@ func Fig8(cost *model.CostModel, sizes []int) ([]Curve, map[string]*obs.Snapshot
 // rmpThroughputCAB streams messages between CAB threads over RMP.
 func rmpThroughputCAB(cost *model.CostModel, size int) (float64, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	n := messagesFor(size)
 	box := b.Mailboxes.Create("sink")
 	box.SetCapacity(wire.MaxPayload * 4)
@@ -138,6 +139,7 @@ func rmpThroughputCAB(cost *model.CostModel, size int) (float64, *obs.Snapshot, 
 // tcpThroughputCAB streams messages between CAB threads over TCP.
 func tcpThroughputCAB(cost *model.CostModel, size int, checksum bool) (float64, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	a.TCP.SetChecksum(checksum)
 	b.TCP.SetChecksum(checksum)
 	n := messagesFor(size)
@@ -187,6 +189,7 @@ func tcpThroughputCAB(cost *model.CostModel, size int, checksum bool) (float64, 
 // receiver polls and reads across its own bus).
 func rmpThroughputHost(cost *model.CostModel, size int) (float64, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	n := messagesFor(size)
 	box := b.Mailboxes.Create("sink")
 	box.SetCapacity(wire.MaxPayload * 4)
@@ -222,6 +225,7 @@ func rmpThroughputHost(cost *model.CostModel, size int) (float64, *obs.Snapshot,
 // tcpThroughputHost streams messages between host processes over TCP.
 func tcpThroughputHost(cost *model.CostModel, size int) (float64, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	n := messagesFor(size)
 	total := n * size
 	done := false

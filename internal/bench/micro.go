@@ -28,6 +28,7 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 	// and observe the arrival timestamp at CAB B minus the wire-exit time.
 	{
 		cl, a, b := newCluster(cost, false)
+		defer cl.Close()
 		marks := traceMarks(cl)
 		box := b.Mailboxes.Create("sink")
 		done := false
@@ -52,6 +53,7 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 	// Context switch: ping-pong between two CAB threads on one CAB.
 	{
 		cl := nectar.NewCluster(&nectar.Config{Cost: cost})
+		defer cl.Close()
 		n := cl.AddNode()
 		m := threads.NewMutex("pp")
 		c := threads.NewCond(n.CAB.Sched, "pp")
@@ -111,6 +113,7 @@ func Netdev(cost *model.CostModel) (*NetdevResult, error) {
 	// per-packet VME copies through the driver's buffer pools.
 	{
 		cl, a, b := newCluster(cost, false)
+		defer cl.Close()
 		drvA := netdev.New(a.Datalink, a.Mailboxes, a.IF)
 		drvB := netdev.New(b.Datalink, b.Mailboxes, b.IF)
 		stackA := netdev.NewHostStack(drvA)
@@ -137,6 +140,7 @@ func Netdev(cost *model.CostModel) (*NetdevResult, error) {
 	// Ethernet baseline: same hosts, on-board interface, no VME crossing.
 	{
 		cl := nectar.NewCluster(&nectar.Config{Cost: cost})
+		defer cl.Close()
 		a := cl.AddNode()
 		b := cl.AddNode()
 		seg := ether.NewSegment(cl.K, cl.Cost)

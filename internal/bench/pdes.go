@@ -185,6 +185,7 @@ func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, a
 	}
 	start := time.Now() //nectar:allow-walltime measures the run's real wall clock for BENCH_pdes.json
 	cl := nectar.NewCluster(&cfg)
+	defer cl.Close()
 	if profiled {
 		cl.EnableProfiling()
 	}

@@ -159,6 +159,7 @@ func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int
 	buildStart := time.Now() //nectar:allow-walltime measures fabric build time for BENCH_scale.json
 
 	cl := nectar.NewCluster(&cfg)
+	defer cl.Close()
 	ns := make(map[int]*nectar.Node, 2*len(flows))
 	for _, f := range flows {
 		ns[f[0]] = cl.Node(f[0])

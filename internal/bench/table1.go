@@ -96,6 +96,7 @@ func (h *echoHarness) client(t *threads.Thread, send func(), recv func()) {
 // 179 µs row).
 func rttDatagram(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	h := &echoHarness{cl: cl}
 	boxA := a.Mailboxes.Create("echo.reply")
 	boxB := b.Mailboxes.Create("echo.service")
@@ -157,6 +158,7 @@ func rttDatagram(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snaps
 // rttRMP measures the reliable-message echo round trip.
 func rttRMP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	h := &echoHarness{cl: cl}
 	boxA := a.Mailboxes.Create("echo.reply")
 	boxB := b.Mailboxes.Create("echo.service")
@@ -217,6 +219,7 @@ func rttRMP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 // abstract's "<500 µs" remote procedure call.
 func rttRRP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	h := &echoHarness{cl: cl}
 	service := b.Mailboxes.Create("rpc.service")
 	replyBox := a.Mailboxes.Create("rpc.reply")
@@ -276,6 +279,7 @@ func rttRRP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 // rttUDP measures the UDP echo round trip.
 func rttUDP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
+	defer cl.Close()
 	h := &echoHarness{cl: cl}
 	sa, err := a.UDP.Bind(1000)
 	if err != nil {

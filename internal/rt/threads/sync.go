@@ -1,6 +1,8 @@
 package threads
 
 import (
+	"slices"
+
 	"nectar/internal/sim"
 )
 
@@ -32,7 +34,7 @@ func (m *Mutex) Lock(t *Thread) {
 		sim.Panicf("threads: recursive Lock of %q by %q", m.name, t.name)
 	}
 	m.waiters = append(m.waiters, t)
-	t.Block("mutex:" + m.name)
+	t.block("mutex:", m.name)
 	// Ownership was handed to us by Unlock before we were woken.
 	if m.owner != t {
 		sim.Panicf("threads: woke from Lock of %q without ownership", m.name)
@@ -59,7 +61,7 @@ func (m *Mutex) Unlock(t *Thread) {
 		return
 	}
 	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
+	m.waiters = slices.Delete(m.waiters, 0, 1) // keeps the backing array
 	m.owner = next
 	next.Unblock()
 }
@@ -93,11 +95,16 @@ func NewCond(s *Sched, name string) *Cond {
 }
 
 // Wait atomically releases m and blocks until signaled, then re-acquires m.
+// The thread's own waiter entry is reused: a Wait is only ever ended by
+// Signal or Broadcast, which take the entry off the queue.
+//
+//nectar:hotpath
 func (c *Cond) Wait(t *Thread, m *Mutex) {
-	w := &condWaiter{t: t}
+	w := &t.cw
+	*w = condWaiter{t: t}
 	c.waiters = append(c.waiters, w)
 	m.Unlock(t)
-	t.Block("cond:" + c.name)
+	t.block("cond:", c.name)
 	m.Lock(t)
 }
 
@@ -119,7 +126,7 @@ func (c *Cond) WaitTimeout(t *Thread, m *Mutex, d sim.Duration) bool {
 		}
 	})
 	m.Unlock(t)
-	t.Block("cond:" + c.name)
+	t.block("cond:", c.name)
 	m.Lock(t)
 	return !w.timedOut
 }
@@ -128,7 +135,7 @@ func (c *Cond) WaitTimeout(t *Thread, m *Mutex, d sim.Duration) bool {
 func (c *Cond) Signal() {
 	for len(c.waiters) > 0 {
 		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		c.waiters = slices.Delete(c.waiters, 0, 1)
 		if w.removed {
 			continue
 		}
@@ -140,15 +147,15 @@ func (c *Cond) Signal() {
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast() {
-	waiters := c.waiters
-	c.waiters = nil
-	for _, w := range waiters {
+	for i, w := range c.waiters {
+		c.waiters[i] = nil
 		if w.removed {
 			continue
 		}
 		w.removed = true
 		w.t.Unblock()
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // HasWaiters reports whether any thread is waiting on c.

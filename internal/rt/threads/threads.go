@@ -16,6 +16,7 @@ package threads
 
 import (
 	"container/heap"
+	"slices"
 
 	"nectar/internal/model"
 	"nectar/internal/obs"
@@ -49,19 +50,21 @@ const (
 // Thread is a single thread of control on one Sched.
 type Thread struct {
 	sched     *Sched
-	name      string
+	name      string // as given to Fork or RaiseInterrupt; see Name
 	prio      Priority
+	fn        func(t *Thread)
 	proc      *sim.Proc
 	wake      *sim.Signal
 	state     state
 	remaining sim.Duration // unconsumed demand of the current Compute call
 	seq       uint64       // FIFO tie-break within a priority
 	heapIdx   int
-	intr      bool // interrupt pseudo-thread
-	exitC     *Cond
-	exitM     *Mutex
+	intr      bool         // interrupt pseudo-thread
+	exitC     *Cond        // created by the first Join
+	exitM     *Mutex       // created by the first Join
 	cpuTime   sim.Duration // total CPU time consumed (stats)
 	epoch     uint64       // incremented at each Block; guards stale wakeups
+	cw        condWaiter   // the thread's entry while it waits in Cond.Wait
 }
 
 // Sched is a preemptive priority scheduler modeling one CPU.
@@ -70,12 +73,19 @@ type Sched struct {
 	cost *model.CostModel
 	name string
 
-	ready      threadHeap
-	running    *Thread
-	sliceTimer sim.Timer
-	sliceStart sim.Time
-	switching  bool    // a context switch is in progress (CPU busy, uninterruptible)
-	switchTo   *Thread // the thread being switched to (not in ready, not yet running)
+	ready       threadHeap
+	running     *Thread
+	sliceTimer  sim.Timer
+	sliceStart  sim.Time
+	sliceThread *Thread // the thread whose compute slice sliceTimer ends
+	switching   bool    // a context switch is in progress (CPU busy, uninterruptible)
+	switchTo    *Thread // the thread being switched to (not in ready, not yet running)
+
+	// The slice-end and switch-end callbacks, bound once so that neither
+	// beginSlice nor startSwitch allocates. They read sliceThread and
+	// switchTo.
+	onSliceDone  func()
+	onSwitchDone func()
 
 	intrMasked  bool
 	pendingIntr []pendingIntr
@@ -98,6 +108,8 @@ type pendingIntr struct {
 // New creates a scheduler for a CPU named name, charging costs from cost.
 func New(k *sim.Kernel, cost *model.CostModel, name string) *Sched {
 	s := &Sched{k: k, cost: cost, name: name}
+	s.onSliceDone = func() { s.sliceDone(s.sliceThread) }
+	s.onSwitchDone = func() { s.switchDone(s.switchTo) }
 	s.obs = obs.Ensure(k)
 	m := s.obs.Metrics()
 	m.Gauge(obs.LayerSched, "context_switches", name, func() uint64 { return s.switches })
@@ -134,17 +146,12 @@ func (s *Sched) Fork(name string, prio Priority, fn func(t *Thread)) *Thread {
 	return s.fork(name, prio, false, fn)
 }
 
+// fork builds no names: the thread's proc and wake signal are named by
+// the thread itself, on demand (String, wakeName).
 func (s *Sched) fork(name string, prio Priority, intr bool, fn func(t *Thread)) *Thread {
-	t := &Thread{sched: s, name: name, prio: prio, intr: intr, heapIdx: -1}
-	t.wake = s.k.NewSignal("wake:" + name)
-	t.exitM = NewMutex(s.name + "/" + name + ".exit")
-	t.exitC = NewCond(s, name+".exit")
-	t.proc = s.k.Go(s.name+"/"+name, func(p *sim.Proc) {
-		// Wait to be dispatched for the first time.
-		p.Wait(t.wake)
-		fn(t)
-		t.exit()
-	})
+	t := &Thread{sched: s, name: name, prio: prio, fn: fn, intr: intr, heapIdx: -1}
+	t.wake = s.k.NewSignalFor((*wakeName)(t))
+	t.proc = s.k.GoFor(t, t.main)
 	t.state = stateReady
 	// The proc start event is queued; thread becomes ready now so that the
 	// scheduler can plan, but the proc only runs once dispatched.
@@ -166,12 +173,31 @@ func (s *Sched) RaiseInterrupt(name string, fn func(t *Thread)) {
 	if s.obs.Tracing() {
 		s.obs.InstantArg(0, obs.LayerSched, "interrupt", s.name+"/"+name, 0, 0)
 	}
-	s.fork("intr:"+name, interruptPriority, true, func(t *Thread) {
-		fn(t)
-		// Handler completion: deliver the next pended interrupt, if any.
-		t.Compute(s.cost.InterruptExit)
-	})
+	s.fork(name, interruptPriority, true, fn)
 }
+
+// main is the body of a thread's proc.
+func (t *Thread) main(p *sim.Proc) {
+	// Wait to be dispatched for the first time.
+	p.Wait(t.wake)
+	t.fn(t)
+	if t.intr {
+		// Handler completion: deliver the next pended interrupt, if any.
+		t.Compute(t.sched.cost.InterruptExit)
+	}
+	t.exit()
+}
+
+// String returns the thread's qualified name, "<cpu>/<thread>": the name
+// of its proc.
+//
+//nectar:hotpath-exempt builds the name only for trace events and reports
+func (t *Thread) String() string { return t.sched.name + "/" + t.Name() }
+
+// wakeName names a thread's wake signal, "wake:<thread>".
+type wakeName Thread
+
+func (w *wakeName) String() string { return "wake:" + (*Thread)(w).Name() }
 
 // interruptActive reports whether an interrupt handler is running, ready,
 // or mid-context-switch. The switchTo check matters: during the switch
@@ -198,14 +224,22 @@ func (s *Sched) drainPendingIntr() {
 		return
 	}
 	pi := s.pendingIntr[0]
-	s.pendingIntr = s.pendingIntr[1:]
+	s.pendingIntr = slices.Delete(s.pendingIntr, 0, 1)
 	s.RaiseInterrupt(pi.name, pi.fn)
 }
 
 // --- Thread API (called from the thread's own context) ---
 
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
+// Name returns the thread name; an interrupt handler's is
+// "intr:<interrupt>".
+//
+//nectar:hotpath-exempt an interrupt handler's name is built here, for reports and panic messages only
+func (t *Thread) Name() string {
+	if t.intr {
+		return "intr:" + t.name
+	}
+	return t.name
+}
 
 // Sched returns the scheduler this thread runs on.
 func (t *Thread) Sched() *Sched { return t.sched }
@@ -246,11 +280,15 @@ func (t *Thread) Compute(d sim.Duration) {
 // Block releases the CPU and parks the thread until Unblock is called.
 // reason is reported in deadlock diagnostics. Interrupt handlers must not
 // block (paper §3.3: handlers use the non-blocking operations).
-func (t *Thread) Block(reason string) {
+func (t *Thread) Block(reason string) { t.block(reason, "") }
+
+// block is Block with the reason in two parts, joined only if the panic
+// message needs them, so Mutex.Lock and Cond.Wait build no string.
+func (t *Thread) block(reason, name string) {
 	s := t.sched
 	t.assertRunning("Block")
 	if t.intr {
-		sim.Panicf("threads: interrupt handler %q attempted to block (%s)", t.name, reason)
+		sim.Panicf("threads: interrupt handler %q attempted to block (%s%s)", t.Name(), reason, name)
 	}
 	t.epoch++
 	t.state = stateBlocked
@@ -297,6 +335,10 @@ func (t *Thread) Yield() {
 
 // Join blocks until u terminates.
 func (t *Thread) Join(u *Thread) {
+	if u.exitM == nil {
+		u.exitM = NewMutex(u.String() + ".exit")
+		u.exitC = NewCond(u.sched, u.Name()+".exit")
+	}
 	u.exitM.Lock(t)
 	for u.state != stateDone {
 		u.exitC.Wait(t, u.exitM)
@@ -330,7 +372,9 @@ func (t *Thread) EnableInterrupts() {
 func (t *Thread) exit() {
 	s := t.sched
 	t.state = stateDone
-	t.exitC.Broadcast()
+	if t.exitC != nil {
+		t.exitC.Broadcast()
+	}
 	s.running = nil
 	if t.intr {
 		s.drainPendingIntr()
@@ -341,10 +385,10 @@ func (t *Thread) exit() {
 
 func (t *Thread) assertRunning(op string) {
 	if t.sched.running != t {
-		sim.Panicf("threads: %s by %q which is not the running thread", op, t.name)
+		sim.Panicf("threads: %s by %q which is not the running thread", op, t.Name())
 	}
 	if t.state != stateRunning {
-		sim.Panicf("threads: %s by %q in state %d", op, t.name, t.state)
+		sim.Panicf("threads: %s by %q in state %d", op, t.Name(), t.state)
 	}
 }
 
@@ -390,6 +434,7 @@ func (s *Sched) preempt() {
 	}
 	s.sliceTimer.Stop()
 	s.sliceTimer = sim.Timer{}
+	s.sliceThread = nil
 	s.requeue(t)
 	s.startSwitch(s.pop())
 }
@@ -417,7 +462,7 @@ func (s *Sched) dispatchNext() {
 // startSwitch charges the context-switch (or interrupt entry) cost and then
 // installs t as the running thread.
 //
-//nectar:hotpath-exempt switch continuation closure is one allocation per context switch, amortized by the microseconds of virtual time the switch itself costs
+//nectar:hotpath
 func (s *Sched) startSwitch(t *Thread) {
 	var cost sim.Duration
 	if t.intr {
@@ -426,13 +471,13 @@ func (s *Sched) startSwitch(t *Thread) {
 		cost = s.cost.ContextSwitch
 		s.switches++
 		if s.obs.Tracing() {
-			s.obs.InstantArg(0, obs.LayerSched, "switch", s.name+"/"+t.name, 0, 0)
+			s.obs.InstantArg(0, obs.LayerSched, "switch", t.String(), 0, 0)
 		}
 	}
 	s.switching = true
 	s.switchTo = t
 	s.busyTime += cost
-	s.k.After(cost, func() { s.switchDone(t) })
+	s.k.After(cost, s.onSwitchDone)
 }
 
 // switchDone completes a context switch. If an even better thread became
@@ -459,11 +504,11 @@ func (s *Sched) switchDone(t *Thread) {
 
 // beginSlice starts consuming the running thread's compute demand.
 //
-//nectar:hotpath-exempt slice-timer closure allocates once per dispatched compute slice, not per event
+//nectar:hotpath
 func (s *Sched) beginSlice(t *Thread) {
 	s.sliceStart = s.k.Now()
-	d := t.remaining
-	s.sliceTimer = s.k.After(d, func() { s.sliceDone(t) })
+	s.sliceThread = t
+	s.sliceTimer = s.k.After(t.remaining, s.onSliceDone)
 }
 
 // sliceDone fires when the running thread's demand is fully consumed; the
@@ -473,6 +518,7 @@ func (s *Sched) sliceDone(t *Thread) {
 	s.busyTime += t.remaining
 	t.remaining = 0
 	s.sliceTimer = sim.Timer{}
+	s.sliceThread = nil
 	t.wake.Signal()
 }
 

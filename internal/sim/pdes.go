@@ -452,6 +452,7 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 		}
 		for _, d := range c.domains {
 			<-d.exited
+			d.k.stopIdle()
 		}
 		c.pr.SpawnJoin(tJoin)
 		c.pr.RunEnd(tRun)

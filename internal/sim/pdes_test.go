@@ -192,3 +192,48 @@ func TestCouplingPropagatesFailure(t *testing.T) {
 		t.Fatalf("want boom, got %v", err)
 	}
 }
+
+// TestCouplingResumesProcsInlineAndPublished: a proc's coroutine is
+// resumed from whichever goroutine runs its domain's window — the
+// scheduler goroutine for a window with one active domain (inline), a
+// domain worker for a window published to several — and keeps its exact
+// schedule across both. Domain b idles for the first 100 µs, so domain
+// a's proc first runs in inline windows and then in published ones.
+func TestCouplingResumesProcsInlineAndPublished(t *testing.T) {
+	c := NewCoupling()
+	a := c.AddDomain(NewKernel())
+	b := c.AddDomain(NewKernel())
+	a.AddGateway(fixedLookahead{10 * Microsecond})
+	b.AddGateway(fixedLookahead{10 * Microsecond})
+
+	var woke [2][]Time
+	tick := func(i int, n int) func(p *Proc) {
+		return func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(Microsecond)
+				woke[i] = append(woke[i], p.Now())
+			}
+		}
+	}
+	a.Kernel().Go("a", tick(0, 200))
+	b.Kernel().Go("b", func(p *Proc) {
+		p.Sleep(100 * Microsecond)
+		tick(1, 100)(p)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.MultiWindows() == 0 || c.Windows() == c.MultiWindows() {
+		t.Fatalf("windows=%d multi=%d: want both inline and published windows", c.Windows(), c.MultiWindows())
+	}
+	for i, first := range []Time{Time(Microsecond), Time(101 * Microsecond)} {
+		for j, at := range woke[i] {
+			if want := first + Time(j)*Time(Microsecond); at != want {
+				t.Fatalf("proc %d wake %d at %v, want %v", i, j, at, want)
+			}
+		}
+	}
+	if len(woke[0]) != 200 || len(woke[1]) != 100 {
+		t.Fatalf("wakes = %d, %d, want 200, 100", len(woke[0]), len(woke[1]))
+	}
+}

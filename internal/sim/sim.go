@@ -5,16 +5,19 @@
 // (time, sequence number), which makes every run fully deterministic: two
 // events scheduled for the same instant fire in the order they were
 // scheduled. Simulated activities are either callbacks (At/After, which must
-// not block) or Procs — goroutines that the kernel runs one at a time,
+// not block) or Procs — coroutines that the kernel runs one at a time,
 // SimPy-style, and that may block on virtual time (Sleep) or on Signals.
 //
 // The kernel itself is single-threaded: exactly one goroutine (either the
-// caller of Run or one Proc) is ever executing simulation code. Handoff
-// between the kernel loop and a Proc uses a single unbuffered channel pair,
-// so there is no data race on simulation state and no need for locks in any
-// model code. Distinct Kernels share nothing, so independent simulations may
-// run concurrently on separate goroutines (the parallel experiment harness
-// in internal/bench relies on this).
+// caller of Run or one Proc) is ever executing simulation code. A Proc is
+// an iter.Pull coroutine: dispatching it is the coroutine's next, blocking
+// is its yield, and the runtime switches between the two directly, so
+// there is no data race on simulation state and no need for locks in any
+// model code. Wake-ups schedule a func bound once per Proc, and a finished
+// Proc's coroutine is reused by the next one the kernel starts, so the
+// blocking path allocates nothing. Distinct Kernels share nothing, so
+// independent simulations may run concurrently on separate goroutines
+// (the parallel experiment harness in internal/bench relies on this).
 //
 // # Event-queue design
 //
@@ -187,9 +190,10 @@ type Kernel struct {
 
 	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
 	current *Proc              // proc currently executing, nil = kernel loop
-	handoff chan struct{}      // proc -> kernel: "I have yielded"
+	idle    []*carrier         // coroutines whose proc finished, for reuse
 	failure error              // a proc panicked or Fatalf was called
 	running bool
+	closed  bool
 	// Opaque slot for the observability layer (internal/obs). Traces and
 	// metrics are per-domain under PDES sharding (merged at the end of
 	// the run), so the slot is shard-owned like the heap.
@@ -206,10 +210,7 @@ func (k *Kernel) Observer() any { return k.observer }
 
 // NewKernel creates an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		procs:   make(map[*Proc]struct{}),
-		handoff: make(chan struct{}),
-	}
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -416,11 +417,11 @@ func (k *Kernel) RunUntil(horizon Time) error { return k.run(horizon) }
 func (k *Kernel) RunFor(d Duration) error { return k.run(k.now + Time(d)) }
 
 func (k *Kernel) run(horizon Time) error {
-	if k.running {
-		panic("sim: Run re-entered")
-	}
-	k.running = true
-	defer func() { k.running = false }()
+	k.enter()
+	defer func() {
+		k.running = false
+		k.stopIdle()
+	}()
 	for k.failure == nil {
 		if horizon >= 0 && len(k.heap) > 0 {
 			// Peek: stop before executing events past the horizon.
@@ -447,13 +448,55 @@ func (k *Kernel) run(horizon Time) error {
 	return nil
 }
 
+// enter marks the kernel running, refusing re-entry and use after Close.
+func (k *Kernel) enter() {
+	if k.running {
+		panic("sim: Run re-entered")
+	}
+	if k.closed {
+		panic("sim: Run after Close")
+	}
+	k.running = true
+}
+
+// procNames lists the live procs as name@reason for deadlock reports, in
+// sorted order.
 func (k *Kernel) procNames() string {
 	var names []string
 	for p := range k.procs {
-		names = append(names, p.name+"@"+p.state)
+		name := p.Name() + "@" + p.reason
+		if p.on != nil {
+			name += p.on.label()
+		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
+}
+
+// Close releases the goroutines behind the kernel's procs: every proc
+// still parked is stopped, and so is every idle coroutine. A stopped proc
+// unwinds from its blocking call, running its deferred calls, and reports
+// no failure. Procs that never started are dropped. Close must not be
+// called while the kernel runs, and the kernel must not run after it.
+func (k *Kernel) Close() {
+	if k.running {
+		panic("sim: Close while running")
+	}
+	k.closed = true
+	// A stopped proc's deferred calls may start procs; the outer loop
+	// drops those too.
+	for len(k.procs) > 0 {
+		for p := range k.procs {
+			if p.co == nil { // never started
+				delete(k.procs, p)
+				p.dead = true
+				continue
+			}
+			p.co.stop() // the body's defer deletes p
+		}
+	}
+	k.stopIdle()
 }
 
 // Idle reports whether no events are pending.
@@ -476,10 +519,7 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 // current bound before choosing the next one. Blocked procs are never a
 // deadlock under runBounded.
 func (k *Kernel) runBounded(bound Time) error {
-	if k.running {
-		panic("sim: Run re-entered")
-	}
-	k.running = true
+	k.enter()
 	defer func() { k.running = false }()
 	for k.failure == nil {
 		if len(k.heap) == 0 || k.heap[0].at >= bound {

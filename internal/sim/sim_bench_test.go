@@ -41,7 +41,7 @@ func BenchmarkTimerChurn(b *testing.B) {
 
 func BenchmarkProcHandoff(b *testing.B) {
 	// Two procs ping-ponging through signals: one iteration = two kernel
-	// handoffs (goroutine switches). Predicated waits avoid lost signals.
+	// handoffs (coroutine switches). Predicated waits avoid lost signals.
 	k := NewKernel()
 	sA := k.NewSignal("sA")
 	sB := k.NewSignal("sB")

@@ -37,9 +37,9 @@ import (
 // by their receiver's guard. Metric emissions (Counter.Inc/Add,
 // Histogram.Observe) have no disabled state, so a costly argument is
 // reported unconditionally: precompute it at registration time (the
-// Registry's Counter/Gauge/Histogram constructors are setup surfaces and
-// are exempt). Package nectar/internal/obs itself is exempt — the
-// implementation owns its own guards.
+// Registry's Counter/Gauge/Histogram constructors and GaugeFamily.Join
+// are setup surfaces and are exempt). Package nectar/internal/obs itself
+// is exempt — the implementation owns its own guards.
 var Obsgate = &Analyzer{
 	Name: "obsgate",
 	Doc: "every obs trace/capture emission whose arguments allocate or format must be dominated by the matching " +
@@ -61,7 +61,9 @@ var obsTraceMethods = map[string]bool{
 
 // obsMetricMethods are the always-on metric emission methods (receiver
 // type -> method). Registration surfaces (Registry.Counter/Gauge/
-// Histogram) run once at setup and may format their scope freely.
+// Histogram, GaugeFamily.Join) run once at setup and may format their
+// scope freely; a family member's values are read at snapshot time, so
+// its hot path holds no metric emission at all.
 var obsMetricMethods = map[string]map[string]bool{
 	"Counter":   {"Inc": true, "Add": true},
 	"Histogram": {"Observe": true},

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"nectar"
 	"nectar/internal/fabric"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -23,11 +23,11 @@ import (
 // until the flow endpoints materialize, and drives cross-tier RMP flows
 // sequentially and sharded (flow-affinity partition over the fabric).
 // Recorded per point: bytes per attachment point after build (the compact-
-// node figure the tentpole is about), build time, the deduplicated route
-// table size, both wall clocks, window statistics, and byte-identity of
-// the flow table (plus the merged metrics snapshot where its JSON stays
-// tractable — a 262k-trunk fabric registers four gauges per link, so the
-// 65,536-point compares flow tables only).
+// node figure), build time, the deduplicated route table size, both wall
+// clocks, window statistics, and whether the sharded run reproduced the
+// sequential one: its flow table byte for byte, and its merged metrics
+// snapshot entry by entry (a million entries at the 65,536-node point,
+// where rendering both as JSON would take ~100 MB each).
 
 // ScalePoint is one fabric size of the sweep.
 type ScalePoint struct {
@@ -63,8 +63,8 @@ type ScalePoint struct {
 	CrossShardFrames uint64  `json:"cross_shard_frames"`
 
 	// Identical: the sharded flow table matches the sequential one
-	// byte-for-byte; MetricsCompared marks whether the merged metrics
-	// snapshot was also compared (and matched).
+	// byte-for-byte, and so does the merged metrics snapshot;
+	// MetricsCompared marks that both snapshots were taken and compared.
 	Identical       bool `json:"identical_output"`
 	MetricsCompared bool `json:"metrics_compared"`
 }
@@ -87,10 +87,6 @@ type scaleSpec struct {
 	perFlow    int
 	msgBytes   int
 	shards     int
-	// compareMetrics additionally byte-compares the merged metrics
-	// snapshots (off for the 65k point: its snapshot enumerates a million
-	// link gauges).
-	compareMetrics bool
 }
 
 // scaleSpecs is the sweep: every flow spans HUB tiers (src in the lower
@@ -99,11 +95,11 @@ type scaleSpec struct {
 func scaleSpecs() []scaleSpec {
 	return []scaleSpec{
 		{"leaf-spine 4x2, 16/leaf", func() *fabric.Topology { return fabric.LeafSpine(4, 2, 16) },
-			64, 16, 24, 1024, 8, true},
+			64, 16, 24, 1024, 8},
 		{"leaf-spine 32x8, 128/leaf", func() *fabric.Topology { return fabric.LeafSpine(32, 8, 128) },
-			4096, 32, 16, 1024, 8, true},
+			4096, 32, 16, 1024, 8},
 		{"fat-tree k=64", func() *fabric.Topology { return fabric.FatTree(64) },
-			65536, 32, 8, 1024, 8, false},
+			65536, 32, 8, 1024, 8},
 	}
 }
 
@@ -122,7 +118,7 @@ func scaleFlows(sp scaleSpec) [][2]int {
 // scaleRunResult is one leg (sequential or sharded) of a sweep point.
 type scaleRunResult struct {
 	table        string
-	metrics      []byte // nil when not captured
+	metrics      *obs.Snapshot
 	wallS        float64
 	buildS       float64
 	bytesPerNode float64
@@ -137,7 +133,7 @@ type scaleRunResult struct {
 // runScaleLeg builds the fabric cluster, materializes the flow endpoints,
 // drives the flows to completion and measures. shards < 2 is the
 // sequential leg.
-func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int, captureMetrics bool) (*scaleRunResult, error) {
+func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int) (*scaleRunResult, error) {
 	topo := sp.build()
 	cfg := nectar.Config{
 		Cost:     cost,
@@ -231,10 +227,7 @@ func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int
 			fi, f[0], f[1], ends[fi].Micros(),
 			mbps(sp.perFlow*sp.msgBytes, sim.Duration(ends[fi])))
 	}
-	var metrics []byte
-	if captureMetrics {
-		metrics = cl.MetricsSnapshot().JSON()
-	}
+	metrics := cl.MetricsSnapshot()
 	var events uint64
 	for _, k := range cl.Kernels() {
 		events += k.Dispatched()
@@ -252,11 +245,11 @@ func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int
 func runScalePoint(cost *model.CostModel, sp scaleSpec) (*ScalePoint, error) {
 	flows := scaleFlows(sp)
 	topo := sp.build()
-	seq, err := runScaleLeg(cost, sp, flows, 1, sp.compareMetrics)
+	seq, err := runScaleLeg(cost, sp, flows, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sequential leg: %w", err)
 	}
-	shd, err := runScaleLeg(cost, sp, flows, sp.shards, sp.compareMetrics)
+	shd, err := runScaleLeg(cost, sp, flows, sp.shards)
 	if err != nil {
 		return nil, fmt.Errorf("sharded leg: %w", err)
 	}
@@ -269,11 +262,8 @@ func runScalePoint(cost *model.CostModel, sp scaleSpec) (*ScalePoint, error) {
 		RouteEntries: shd.routeEntries, RouteBytes: shd.routeBytes,
 		SequentialSeconds: seq.wallS, ShardedSeconds: shd.wallS,
 		Windows: shd.windows, CrossShardFrames: shd.crossShard,
-		Identical:       seq.table == shd.table,
-		MetricsCompared: sp.compareMetrics,
-	}
-	if sp.compareMetrics {
-		p.Identical = p.Identical && bytes.Equal(seq.metrics, shd.metrics)
+		Identical:       seq.table == shd.table && seq.metrics.Equal(shd.metrics),
+		MetricsCompared: true,
 	}
 	if shd.windows > 0 {
 		p.EventsPerWindow = float64(shd.events) / float64(shd.windows)

@@ -109,13 +109,25 @@ func NewLink(k *sim.Kernel, cost *model.CostModel, name string, dst Endpoint) *L
 	}
 	l := &Link{k: k, cost: cost, name: name, dst: dst}
 	l.obs = obs.Ensure(k)
-	m := l.obs.Metrics()
-	m.Gauge(obs.LayerFiber, "frames", name, func() uint64 { return l.sent })
-	m.Gauge(obs.LayerFiber, "bytes", name, func() uint64 { return l.bytes })
-	m.Gauge(obs.LayerFiber, "dropped", name, func() uint64 { return l.dropped })
-	m.Gauge(obs.LayerFiber, "corrupted", name, func() uint64 { return l.corrupted })
+	linkGauges.Join(l.obs.Metrics(), name, l)
 	return l
 }
+
+// linkGauges exports every link's statistics, scoped by link name: a
+// fabric builds hundreds of thousands of links, so they join one dense
+// family per kernel instead of registering a closure per gauge.
+var linkGauges = obs.NewGaugeFamily(obs.LayerFiber, []string{"frames", "bytes", "dropped", "corrupted"},
+	func(l *Link, i int) uint64 {
+		switch i {
+		case 0:
+			return l.sent
+		case 1:
+			return l.bytes
+		case 2:
+			return l.dropped
+		}
+		return l.corrupted
+	})
 
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/sim"
 )
 
@@ -50,6 +51,31 @@ func TestFaultFnPattern(t *testing.T) {
 	}
 	if len(s.got) != 4 {
 		t.Error("cleared fault fn still dropping")
+	}
+}
+
+// TestSameNameLinksSumInSnapshot: two links of one kernel that share a
+// name (the "up"/"down" pairs several tests build) export the sum of
+// their statistics under that name; neither hides the other.
+func TestSameNameLinksSumInSnapshot(t *testing.T) {
+	k := sim.NewKernel()
+	a := NewLink(k, model.Default1990(), "up", &sink{k: k})
+	b := NewLink(k, model.Default1990(), "up", &sink{k: k})
+	b.DropNext(1)
+	k.After(0, func() {
+		a.Send(&Packet{Frame: make([]byte, 10)})
+		b.Send(&Packet{Frame: make([]byte, 10)})
+		b.Send(&Packet{Frame: make([]byte, 20)})
+		b.Send(&Packet{Frame: make([]byte, 30)})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := obs.Get(k).Metrics().Snapshot(k.Now())
+	for name, want := range map[string]uint64{"frames": 3, "bytes": 11 + 21 + 31, "dropped": 1} {
+		if got := snap.Value(obs.LayerFiber, name, "up"); got != want {
+			t.Errorf("fiber %s/up = %d, want %d (both links)", name, got, want)
+		}
 	}
 }
 

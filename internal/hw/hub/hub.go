@@ -54,11 +54,19 @@ func New(k *sim.Kernel, cost *model.CostModel, name string, n int) *Hub {
 	for i := range h.circ {
 		h.circ[i] = -1
 	}
-	m := obs.Ensure(k).Metrics()
-	m.Gauge(obs.LayerFiber, "hub_forwarded", name, func() uint64 { return h.stats.forwarded.Load() })
-	m.Gauge(obs.LayerFiber, "hub_setup_ops", name, func() uint64 { return h.stats.setupOps })
+	hubGauges.Join(obs.Ensure(k).Metrics(), name, h)
 	return h
 }
+
+// hubGauges exports every HUB's forwarding and controller statistics,
+// scoped by HUB name, as one dense family per kernel.
+var hubGauges = obs.NewGaugeFamily(obs.LayerFiber, []string{"hub_forwarded", "hub_setup_ops"},
+	func(h *Hub, i int) uint64 {
+		if i == 0 {
+			return h.stats.forwarded.Load()
+		}
+		return h.stats.setupOps
+	})
 
 // Name returns the HUB name.
 func (h *Hub) Name() string { return h.name }

@@ -18,57 +18,154 @@ import (
 // time first) and renumber span ids by first appearance, so both runs
 // render to identical bytes.
 
-// MergeSnapshots exports one Snapshot over several registries: counters
-// and gauges with the same (layer, name, scope) key sum, histograms merge
-// at bucket level, and the result is sorted exactly like Registry.Snapshot
-// — so merging the registries of a sharded run yields byte-identical JSON
-// to the sequential run's single-registry snapshot.
+// MergeSnapshots exports one Snapshot over several registries. Each
+// registry contributes sorted streams: its scalar metrics in key order,
+// and one stream per gauge family (names in name order, members in scope
+// order within each name). The export is one k-way merge of all
+// of them, in (layer, name, scope, kind) order. Entries under one key sum
+// wherever they come from — counters and gauges add, histograms merge at
+// bucket level — so merging the registries of a sharded run yields
+// byte-identical JSON to the sequential run's single-registry snapshot.
+// The number of allocations does not grow with the number of entries:
+// the Entries slice and the family value buffer are allocated once, and
+// there is one HistStats per histogram entry.
 func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 	s := &Snapshot{AtUS: at.Micros()}
-	counters := make(map[metricKey]uint64)
-	gauges := make(map[metricKey]uint64)
-	gaugeSeen := make(map[metricKey]bool)
-	hists := make(map[metricKey]*Histogram)
+	var cs []cursor
+	total, famTotal := 0, 0
 	for _, r := range regs {
 		if r == nil {
 			continue
 		}
-		for k, c := range r.counters {
-			counters[k] += c.v
+		sc := r.sortedScalars()
+		cs = append(cs, cursor{n: len(sc), scalars: sc})
+		total += len(sc)
+		for _, f := range r.families {
+			f.sort()
+			c := cursor{fam: f, members: f.size()}
+			c.layer, c.names, c.byName = f.spec()
+			c.n = len(c.names) * c.members
+			cs = append(cs, c)
+			total += c.n
+			famTotal += c.n
 		}
-		for k, fn := range r.gauges {
-			gauges[k] += fn()
-			gaugeSeen[k] = true
+	}
+	if total == 0 {
+		return s
+	}
+	// One buffer holds every family's values, read member by member: the
+	// stream then walks it in order instead of visiting each member once
+	// per name.
+	vals := make([]uint64, famTotal)
+	h := make([]*cursor, 0, len(cs))
+	for i := range cs {
+		c := &cs[i]
+		if c.fam != nil {
+			c.vals, vals = vals[:c.n], vals[c.n:]
+			c.fam.read(c.vals)
 		}
-		for k, h := range r.hists {
-			m := hists[k]
-			if m == nil {
-				m = &Histogram{}
-				hists[k] = m
+		if c.next() {
+			h = append(h, c)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	s.Entries = make([]Entry, 0, total)
+	for len(h) > 0 {
+		key := h[0].head
+		var v uint64
+		var hist *Histogram
+		merged := false
+		for len(h) > 0 && h[0].head == key {
+			top := h[0]
+			v += top.v
+			if top.h != nil {
+				if hist == nil {
+					hist = top.h
+				} else {
+					if !merged { // copy before merging: hist is still a registered histogram
+						m := &Histogram{}
+						m.h.Merge(&hist.h)
+						hist, merged = m, true
+					}
+					hist.h.Merge(&top.h.h)
+				}
 			}
-			m.h.Merge(&h.h)
+			if !top.next() {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(h, 0)
 		}
-	}
-	for k, v := range counters {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "counter", v, nil})
-	}
-	for k := range gaugeSeen {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "gauge", gauges[k], nil})
-	}
-	for k, h := range hists {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "histogram", 0, h.Stats()})
-	}
-	sort.Slice(s.Entries, func(i, j int) bool {
-		a, b := s.Entries[i], s.Entries[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
+		e := Entry{Layer: string(key.layer), Name: key.name, Scope: key.scope, Kind: kindNames[key.kind], Value: v}
+		if key.kind == kindHistogram {
+			e.Hist = hist.Stats()
 		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Scope < b.Scope
-	})
+		s.Entries = append(s.Entries, e)
+	}
 	return s
+}
+
+// cursor walks one sorted stream of a registry — its scalars, or one gauge
+// family — holding the current entry in head, v and h.
+type cursor struct {
+	head metricKey
+	v    uint64
+	h    *Histogram
+
+	i, n    int
+	scalars []scalar
+
+	fam     family // nil for the scalar stream
+	layer   Layer
+	names   []string
+	byName  []int
+	members int
+	vals    []uint64 // the family's values, name-major (family.read)
+}
+
+// next loads the stream's next entry; false when the stream is done.
+func (c *cursor) next() bool {
+	if c.i == c.n {
+		return false
+	}
+	if c.fam == nil {
+		s := &c.scalars[c.i]
+		c.head, c.h = s.key, s.h
+		switch s.key.kind {
+		case kindCounter:
+			c.v = s.c.v
+		case kindGauge:
+			c.v = s.fn()
+		default:
+			c.v = 0
+		}
+	} else {
+		name, j := c.byName[c.i/c.members], c.i%c.members
+		c.head = metricKey{c.layer, c.names[name], c.fam.scope(j), kindGauge}
+		c.v = c.vals[name*c.members+j]
+	}
+	c.i++
+	return true
+}
+
+// siftDown restores the min-heap order of h (by head key) below i.
+func siftDown(h []*cursor, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].head.compare(&h[m].head) < 0 {
+			m = r
+		}
+		if h[i].head.compare(&h[m].head) <= 0 {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // eventContentLess orders events by content: virtual time first, then

@@ -3,20 +3,49 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"nectar/internal/prof"
 	"nectar/internal/sim"
 )
 
+// kind orders the entries that share (layer, name, scope): a counter, a
+// gauge and a histogram registered under one key export as three
+// entries, in this order.
+type kind uint8
+
+const (
+	kindCounter kind = iota
+	kindGauge
+	kindHistogram
+)
+
+var kindNames = [...]string{kindCounter: "counter", kindGauge: "gauge", kindHistogram: "histogram"}
+
 // metricKey identifies one metric: the layer that owns it, the metric
-// name, and a scope (node or link identity, e.g. "cab1", "host2",
-// "fiber.a-b", or "total").
+// name, a scope (node or link identity, e.g. "cab1", "host2",
+// "fiber.a-b", or "total"), and its kind.
 type metricKey struct {
 	layer Layer
 	name  string
 	scope string
+	kind  kind
+}
+
+// compare orders keys by (layer, name, scope, kind), the order of every
+// Snapshot.
+func (a *metricKey) compare(b *metricKey) int {
+	if c := strings.Compare(string(a.layer), string(b.layer)); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.scope, b.scope); c != 0 {
+		return c
+	}
+	return int(a.kind) - int(b.kind)
 }
 
 // Counter is a monotonically increasing per-registry counter. Methods
@@ -83,62 +112,77 @@ func (h *Histogram) Stats() *HistStats {
 	}
 }
 
-// Registry holds all metrics registered against one kernel's Observer.
-// It is not safe for concurrent use — like everything else in the sim,
-// exactly one goroutine touches it at a time.
+// Registry holds all metrics registered against one kernel's Observer:
+// the scalar metrics (counters, closure gauges, histograms) in one slice,
+// and the dense gauge families that per-link hardware joins (family.go).
+// Metrics registered under one key sum in the snapshot, exactly as the
+// same key does across the registries of a sharded run. A Registry is not
+// safe for concurrent use — like everything else in the sim, exactly one
+// goroutine touches it at a time.
 type Registry struct {
-	counters map[metricKey]*Counter
-	gauges   map[metricKey]func() uint64
-	hists    map[metricKey]*Histogram
+	scalars  []scalar
+	sorted   bool // scalars are in key order; cleared by every registration
+	families []family
+}
+
+// scalar is one registered counter, closure gauge or histogram; exactly
+// the field its key's kind names is set.
+type scalar struct {
+	key metricKey
+	c   *Counter
+	fn  func() uint64
+	h   *Histogram
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[metricKey]*Counter),
-		gauges:   make(map[metricKey]func() uint64),
-		hists:    make(map[metricKey]*Histogram),
-	}
+func NewRegistry() *Registry { return &Registry{} }
+
+func (r *Registry) add(s scalar) {
+	r.scalars = append(r.scalars, s)
+	r.sorted = false
 }
 
-// Counter returns (creating on first use) the named counter. A nil
+// Counter registers a new counter under (layer, name, scope). A nil
 // registry returns a nil Counter, whose methods are no-ops.
 func (r *Registry) Counter(layer Layer, name, scope string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{layer, name, scope}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
+	c := &Counter{}
+	r.add(scalar{key: metricKey{layer, name, scope, kindCounter}, c: c})
 	return c
 }
 
 // Gauge registers a pull-style gauge sampled at snapshot time. fn must be
-// deterministic and order-independent (e.g. a sum over a map). Later
-// registrations under the same key replace earlier ones.
+// deterministic and order-independent (e.g. a sum over a map). Gauges
+// that exist once per link rather than once per node join a GaugeFamily
+// instead.
 func (r *Registry) Gauge(layer Layer, name, scope string, fn func() uint64) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.gauges[metricKey{layer, name, scope}] = fn
+	r.add(scalar{key: metricKey{layer, name, scope, kindGauge}, fn: fn})
 }
 
-// Histogram returns (creating on first use) the named histogram. A nil
+// Histogram registers a new histogram under (layer, name, scope). A nil
 // registry returns a nil Histogram, whose Observe is a no-op.
 func (r *Registry) Histogram(layer Layer, name, scope string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{layer, name, scope}
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
-	}
+	h := &Histogram{}
+	r.add(scalar{key: metricKey{layer, name, scope, kindHistogram}, h: h})
 	return h
+}
+
+// sortedScalars returns the scalars in key order, sorting them in place
+// only if a registration came after the last sort.
+func (r *Registry) sortedScalars() []scalar {
+	if !r.sorted {
+		slices.SortFunc(r.scalars, func(a, b scalar) int { return a.key.compare(&b.key) })
+		r.sorted = true
+	}
+	return r.scalars
 }
 
 // Entry is one metric in a Snapshot.
@@ -158,33 +202,9 @@ type Snapshot struct {
 	Entries []Entry `json:"metrics"`
 }
 
-// Snapshot samples every counter, gauge, and histogram.
-func (r *Registry) Snapshot(at sim.Time) *Snapshot {
-	s := &Snapshot{AtUS: at.Micros()}
-	if r == nil {
-		return s
-	}
-	for k, c := range r.counters {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "counter", c.v, nil})
-	}
-	for k, fn := range r.gauges {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "gauge", fn(), nil})
-	}
-	for k, h := range r.hists {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "histogram", 0, h.Stats()})
-	}
-	sort.Slice(s.Entries, func(i, j int) bool {
-		a, b := s.Entries[i], s.Entries[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Scope < b.Scope
-	})
-	return s
-}
+// Snapshot samples every counter, gauge, and histogram: the merge of
+// MergeSnapshots over this one registry.
+func (r *Registry) Snapshot(at sim.Time) *Snapshot { return MergeSnapshots(at, r) }
 
 // Get returns the entry for (layer, name, scope), if present.
 func (s *Snapshot) Get(layer Layer, name, scope string) (Entry, bool) {
@@ -213,6 +233,25 @@ func (s *Snapshot) Sum(layer Layer, name string) uint64 {
 		}
 	}
 	return n
+}
+
+// Equal reports whether two snapshots hold the same entries at the same
+// virtual time: what comparing their JSON would report, without rendering
+// it.
+func (s *Snapshot) Equal(o *Snapshot) bool {
+	if s.AtUS != o.AtUS || len(s.Entries) != len(o.Entries) {
+		return false
+	}
+	for i := range s.Entries {
+		a, b := &s.Entries[i], &o.Entries[i]
+		if a.Layer != b.Layer || a.Name != b.Name || a.Scope != b.Scope || a.Kind != b.Kind || a.Value != b.Value {
+			return false
+		}
+		if (a.Hist == nil) != (b.Hist == nil) || a.Hist != nil && *a.Hist != *b.Hist {
+			return false
+		}
+	}
+	return true
 }
 
 // JSON renders the snapshot as deterministic, indented JSON.
